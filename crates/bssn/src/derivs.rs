@@ -49,7 +49,15 @@ impl DerivWorkspace {
 
     /// Compute all 210 derivative blocks from the 24 padded patches of one
     /// octant. `patches[v]` is variable `v`'s `(r+2k)^3` patch; `h` the
-    /// octant grid spacing. Returns the flop count.
+    /// octant grid spacing.
+    ///
+    /// Returns the paper's operation-count *model* of the evaluation —
+    /// 13 flops/point per 7-point stencil and 97 flops/point per mixed
+    /// derivative, the direct 49-point tensor product — not the count
+    /// executed: the sum-factorized [`DerivOps::deriv_mixed`] does fewer.
+    /// The model is what the Fig. 14 arithmetic intensity and the
+    /// `bssn.deriv_gflop` metric are defined on, so it stays fixed when
+    /// the kernels get cheaper.
     pub fn compute(&mut self, patches: &[&[f64]], h: f64) -> u64 {
         assert_eq!(patches.len(), NUM_VARS);
         let ops = DerivOps::new(h);
@@ -62,7 +70,8 @@ impl DerivWorkspace {
                 flops += 13 * BLOCK_VOLUME as u64;
             }
         }
-        // Second derivatives for the 11 vars: pure 13/pt, mixed 2·(7·2)≈97/pt.
+        // Second derivatives for the 11 vars: pure 13/pt, mixed 97/pt
+        // (modelled as the unfactorized 49-point product).
         for v in 0..NUM_VARS {
             if second_deriv_slot(v).is_none() {
                 continue;

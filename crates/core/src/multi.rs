@@ -24,8 +24,7 @@ use gw_bssn::BssnParams;
 use gw_comm::world::WorldConfig;
 use gw_comm::{CommError, GhostPlan, GhostSchedule, RankCtx, RecvHandle, World};
 use gw_expr::symbols::{NUM_INPUTS, NUM_VARS};
-use gw_mesh::gather::fill_patches_gather;
-use gw_mesh::{Field, Mesh, PatchField};
+use gw_mesh::{Field, Mesh};
 use gw_obs::{Counter, Phase, Probe};
 use gw_octree::partition::{partition_uniform, PartitionMap};
 use gw_par::{ThreadPool, UnsafeSlice};
@@ -203,10 +202,6 @@ struct OwnedSplit {
     /// Indices into `mesh.syncs` (owned dst) applied after the
     /// exchange completes, in original `mesh.syncs` order.
     syncs_ghost: Vec<usize>,
-    /// Physical-boundary padding regions per octant id (from
-    /// `mesh.boundary_regions`), so the per-octant pipeline can pad
-    /// without a second sweep.
-    regions_of: Vec<Vec<[i8; 3]>>,
 }
 
 fn classify_owned(mesh: &Mesh, owned: &std::ops::Range<usize>) -> OwnedSplit {
@@ -219,10 +214,6 @@ fn classify_owned(mesh: &Mesh, owned: &std::ops::Range<usize>) -> OwnedSplit {
         } else {
             boundary.push(e);
         }
-    }
-    let mut regions_of = vec![Vec::new(); mesh.n_octants()];
-    for &(b, delta) in &mesh.boundary_regions {
-        regions_of[b as usize].push(delta);
     }
     // Interface syncs may chain (a sync destination read as a later
     // sync's source — possible at ≥ 3 refinement levels) or duplicate a
@@ -252,7 +243,18 @@ fn classify_owned(mesh: &Mesh, owned: &std::ops::Range<usize>) -> OwnedSplit {
     } else {
         owned_syncs.into_iter().partition(|&i| is_owned(mesh.syncs[i].src_oct))
     };
-    OwnedSplit { interior, boundary, syncs_local, syncs_ghost, regions_of }
+    OwnedSplit { interior, boundary, syncs_local, syncs_ghost }
+}
+
+/// Physical-boundary padding regions per octant id (from
+/// `mesh.boundary_regions`), so [`eval_octant`] pads its patches without
+/// a second sweep.
+fn boundary_regions_of(mesh: &Mesh) -> Vec<Vec<[i8; 3]>> {
+    let mut regions_of = vec![Vec::new(); mesh.n_octants()];
+    for &(b, delta) in &mesh.boundary_regions {
+        regions_of[b as usize].push(delta);
+    }
+    regions_of
 }
 
 /// Apply the listed `mesh.syncs` entries (same copy as the blocking
@@ -267,12 +269,15 @@ fn apply_syncs(mesh: &Mesh, indices: &[usize], u: &mut Field) {
     }
 }
 
-/// Reusable per-evaluator scratch: the gather/prolongation buffers plus
-/// the per-point input/output staging of the Sommerfeld fix. Allocated
-/// once per rank (serial path) or once per worker thread (overlapped
-/// path) and counted in [`Counter::WorkspaceAllocs`] — the hot loop
-/// itself never allocates.
+/// Reusable per-evaluator scratch: the 24 padded patches of the octant
+/// being evaluated, the gather/prolongation buffers, and the per-point
+/// input/output staging of the Sommerfeld fix. Cached once per
+/// evaluating thread (the rank thread, or each pool worker on the
+/// overlapped path) next to its [`RhsWorkspace`] and counted in
+/// [`Counter::WorkspaceAllocs`] — the hot loop itself never allocates,
+/// and no rank holds a full-mesh patch field.
 struct EvalScratch {
+    patches: Vec<f64>,
     inputs: Vec<f64>,
     point: Vec<f64>,
     prolong: Prolongation,
@@ -283,6 +288,7 @@ struct EvalScratch {
 impl EvalScratch {
     fn new() -> Self {
         Self {
+            patches: vec![0.0; NUM_VARS * PATCH_VOLUME],
             inputs: vec![0.0; NUM_INPUTS],
             point: vec![0.0; NUM_VARS],
             prolong: Prolongation::new(),
@@ -292,13 +298,76 @@ impl EvalScratch {
     }
 }
 
-/// Parallel octant→patch + RHS pipeline over an explicit octant list, on
-/// the shared worker pool. Per octant: interior copy, gather (with
-/// prolongation), physical-boundary padding, fused RHS, Sommerfeld fix.
-/// Each octant's patch and output blocks have exactly one writer and the
-/// per-point arithmetic matches [`eval_rhs_local`] exactly, so the
-/// result is bit-identical to the serial sweep at any thread count and
-/// any list order.
+/// Octant→patch + RHS for one owned octant `e`, into its output blocks.
+/// Stages the octant's 24 padded patches in `scratch`: interior copy,
+/// gather (each `Prolong` op prolongs only the box it reads, see
+/// [`gw_mesh::scatter::prolong_box`]) and physical-boundary padding
+/// (clamp-copy from the interior, as in `fill_boundary_padding`); then
+/// the fused RHS and the Sommerfeld fix. Every patch value and output
+/// depends only on `input`, so any evaluation order is bit-identical.
+#[allow(clippy::too_many_arguments)]
+fn eval_octant(
+    mesh: &Mesh,
+    e: usize,
+    regions: &[[i8; 3]],
+    params: &BssnParams,
+    input: &Field,
+    mask: u8,
+    ws: &mut RhsWorkspace,
+    scratch: &mut EvalScratch,
+    out_blocks: &mut [&mut [f64]; NUM_VARS],
+) {
+    let p = PatchLayout::padded();
+    for (v, patch) in scratch.patches.chunks_exact_mut(PATCH_VOLUME).enumerate() {
+        gw_stencil::patch::octant_to_patch_interior(input.block(v, e), patch);
+        for op in mesh.gather_of(e) {
+            let src = input.block(v, op.src as usize);
+            if op.kind == gw_mesh::ScatterKind::Prolong {
+                let b = gw_mesh::scatter::prolong_box(op);
+                scratch.prolong.prolong_box_ws(
+                    src,
+                    &mut scratch.fine13,
+                    &mut scratch.pws,
+                    b.lo,
+                    b.hi,
+                );
+            }
+            gw_mesh::scatter::apply_scatter_op(op, src, &scratch.fine13, patch);
+        }
+        for delta in regions {
+            for pz in gw_mesh::scatter::region_range(delta[2]) {
+                for py in gw_mesh::scatter::region_range(delta[1]) {
+                    for px in gw_mesh::scatter::region_range(delta[0]) {
+                        let cx = px.clamp(PADDING, PADDING + POINTS_PER_SIDE - 1);
+                        let cy = py.clamp(PADDING, PADDING + POINTS_PER_SIDE - 1);
+                        let cz = pz.clamp(PADDING, PADDING + POINTS_PER_SIDE - 1);
+                        patch[p.idx(px, py, pz)] = patch[p.idx(cx, cy, cz)];
+                    }
+                }
+            }
+        }
+    }
+    let patch_refs: [&[f64]; NUM_VARS] =
+        std::array::from_fn(|v| &scratch.patches[v * PATCH_VOLUME..(v + 1) * PATCH_VOLUME]);
+    let h = mesh.octants[e].h;
+    bssn_rhs_patch(&patch_refs, h, params, &RhsMode::Pointwise, ws, out_blocks);
+    crate::boundary::sommerfeld_fix(
+        mesh,
+        e,
+        mask,
+        &patch_refs,
+        ws,
+        &mut scratch.inputs,
+        &mut scratch.point,
+        out_blocks,
+    );
+}
+
+/// [`eval_octant`] over an explicit octant list: serially on the calling
+/// rank thread (`pool = None`, the blocking schedule) or on the shared
+/// worker pool (the overlapped one). Each octant's output blocks have
+/// exactly one writer, so the result is bit-identical at any thread
+/// count and any list order.
 #[allow(clippy::too_many_arguments)]
 fn eval_rhs_list(
     mesh: &Mesh,
@@ -306,149 +375,47 @@ fn eval_rhs_list(
     regions_of: &[Vec<[i8; 3]>],
     params: &BssnParams,
     input: &Field,
-    patches: &mut PatchField,
     masks: &[u8],
     out: &mut Field,
-    pool: &ThreadPool,
+    pool: Option<&ThreadPool>,
     probe: &Probe,
 ) {
+    thread_local! {
+        static WS: std::cell::RefCell<Option<(RhsWorkspace, EvalScratch)>> =
+            const { std::cell::RefCell::new(None) };
+    }
     let n_oct = mesh.n_octants();
-    let patches_s = UnsafeSlice::new(patches.as_mut_slice());
     let out_s = UnsafeSlice::new(out.as_mut_slice());
-    pool.for_each(list.len(), |i| {
+    let eval = |i: usize| {
         let e = list[i];
-        let h = mesh.octants[e].h;
-        thread_local! {
-            static WS: std::cell::RefCell<Option<(RhsWorkspace, EvalScratch)>> =
-                const { std::cell::RefCell::new(None) };
-        }
         WS.with(|cell| {
             let mut borrow = cell.borrow_mut();
             let (ws, scratch) = borrow.get_or_insert_with(|| {
                 probe.add(Counter::WorkspaceAllocs, 1);
                 (RhsWorkspace::new(1), EvalScratch::new())
             });
-            let p = PatchLayout::padded();
-            for v in 0..NUM_VARS {
-                // Safety: octants in `list` are distinct and slot
-                // (v, e) belongs to this iteration alone.
-                let patch =
-                    unsafe { patches_s.slice_mut((v * n_oct + e) * PATCH_VOLUME, PATCH_VOLUME) };
-                gw_stencil::patch::octant_to_patch_interior(input.block(v, e), patch);
-                for op in mesh.gather_of(e) {
-                    let src = input.block(v, op.src as usize);
-                    if op.kind == gw_mesh::ScatterKind::Prolong {
-                        scratch.prolong.prolong3d_ws(src, &mut scratch.fine13, &mut scratch.pws);
-                    }
-                    gw_mesh::scatter::apply_scatter_op(op, src, &scratch.fine13, patch);
-                }
-                // Physical-boundary padding: clamp-copy from the
-                // interior, same as fill_boundary_padding_range.
-                for delta in &regions_of[e] {
-                    for pz in gw_mesh::scatter::region_range(delta[2]) {
-                        for py in gw_mesh::scatter::region_range(delta[1]) {
-                            for px in gw_mesh::scatter::region_range(delta[0]) {
-                                let cx = px.clamp(PADDING, PADDING + POINTS_PER_SIDE - 1);
-                                let cy = py.clamp(PADDING, PADDING + POINTS_PER_SIDE - 1);
-                                let cz = pz.clamp(PADDING, PADDING + POINTS_PER_SIDE - 1);
-                                patch[p.idx(px, py, pz)] = patch[p.idx(cx, cy, cz)];
-                            }
-                        }
-                    }
-                }
-            }
-            // Safety: the (v, e) patch slots were fully written above and
-            // no other iteration touches them; output blocks (v, e) are
-            // disjoint per octant.
-            let patch_refs: [&[f64]; NUM_VARS] = std::array::from_fn(|v| unsafe {
-                patches_s.slice((v * n_oct + e) * PATCH_VOLUME, PATCH_VOLUME)
-            });
+            // Safety: octants in `list` are distinct, so output blocks
+            // (v, e) belong to this iteration alone.
             let mut out_blocks: [&mut [f64]; NUM_VARS] = std::array::from_fn(|v| unsafe {
                 out_s.slice_mut((v * n_oct + e) * BLOCK_VOLUME, BLOCK_VOLUME)
             });
-            bssn_rhs_patch(&patch_refs, h, params, &RhsMode::Pointwise, ws, &mut out_blocks);
-            crate::boundary::sommerfeld_fix(
+            eval_octant(
                 mesh,
                 e,
+                &regions_of[e],
+                params,
+                input,
                 masks[e],
-                &patch_refs,
                 ws,
-                &mut scratch.inputs,
-                &mut scratch.point,
+                scratch,
                 &mut out_blocks,
             );
         });
-    });
-}
-
-/// Local RHS evaluation over owned octants (gather-based padding so only
-/// owned patches are touched).
-#[allow(clippy::too_many_arguments)]
-fn eval_rhs_local(
-    mesh: &Mesh,
-    owned: std::ops::Range<usize>,
-    params: &BssnParams,
-    input: &Field,
-    patches: &mut PatchField,
-    ws: &mut RhsWorkspace,
-    scratch: &mut EvalScratch,
-    masks: &[u8],
-    out: &mut Field,
-) {
-    // Padding for owned patches (gather touches exactly dst ∈ owned).
-    // We reuse the full-mesh gather but restrict to the owned range.
-    fill_patches_gather_range(mesh, input, patches, owned.clone(), scratch);
-    gw_mesh::scatter::fill_boundary_padding_range(mesh, patches, NUM_VARS, owned.clone());
-    let n = mesh.n_octants();
-    for e in owned {
-        let h = mesh.octants[e].h;
-        let patch_refs: [&[f64]; NUM_VARS] = std::array::from_fn(|v| patches.patch(v, e));
-        let base = out.as_mut_slice().as_mut_ptr();
-        // Safety: blocks (v, e) are disjoint slices.
-        let mut out_blocks: [&mut [f64]; NUM_VARS] = std::array::from_fn(|v| unsafe {
-            std::slice::from_raw_parts_mut(base.add((v * n + e) * BLOCK_VOLUME), BLOCK_VOLUME)
-        });
-        bssn_rhs_patch(&patch_refs, h, params, &RhsMode::Pointwise, ws, &mut out_blocks);
-        crate::boundary::sommerfeld_fix(
-            mesh,
-            e,
-            masks[e],
-            &patch_refs,
-            ws,
-            &mut scratch.inputs,
-            &mut scratch.point,
-            &mut out_blocks,
-        );
+    };
+    match pool {
+        Some(pool) => pool.for_each(list.len(), eval),
+        None => (0..list.len()).for_each(eval),
     }
-}
-
-/// Gather-based padding restricted to a destination range.
-fn fill_patches_gather_range(
-    mesh: &Mesh,
-    field: &Field,
-    patches: &mut PatchField,
-    range: std::ops::Range<usize>,
-    scratch: &mut EvalScratch,
-) {
-    // Equivalent to gw_mesh::gather::fill_patches_gather but only for
-    // dst ∈ range.
-    for var in 0..field.dof {
-        for b in range.clone() {
-            gw_stencil::patch::octant_to_patch_interior(
-                field.block(var, b),
-                patches.patch_mut(var, b),
-            );
-            for op in mesh.gather_of(b) {
-                let src = field.block(var, op.src as usize);
-                if op.kind == gw_mesh::ScatterKind::Prolong {
-                    scratch.prolong.prolong3d_ws(src, &mut scratch.fine13, &mut scratch.pws);
-                }
-                let dst = patches.patch_mut(var, op.dst as usize);
-                gw_mesh::scatter::apply_scatter_op(op, src, &scratch.fine13, dst);
-            }
-        }
-    }
-    let _ = fill_patches_gather; // same algorithm, range-restricted
 }
 
 /// Everything one RK stage needs besides the fields: the exchange plan,
@@ -461,6 +428,9 @@ struct StageCtx<'a, 'w> {
     mesh: &'a Mesh,
     params: &'a BssnParams,
     owned: std::ops::Range<usize>,
+    /// The owned octants in SFC order (the blocking schedule's list).
+    owned_list: &'a [usize],
+    regions_of: &'a [Vec<[i8; 3]>],
     masks: &'a [u8],
     probe: &'a Probe,
     /// `Some` = overlapped path (classification + pool).
@@ -474,12 +444,12 @@ struct StageCtx<'a, 'w> {
 fn rhs_stage(
     st: &StageCtx<'_, '_>,
     field: &mut Field,
-    patches: &mut PatchField,
-    ws: &mut RhsWorkspace,
-    scratch: &mut EvalScratch,
     out: &mut Field,
     tag: u64,
 ) -> Result<(), CommError> {
+    let eval = |list: &[usize], field: &Field, out: &mut Field, pool: Option<&ThreadPool>| {
+        eval_rhs_list(st.mesh, list, st.regions_of, st.params, field, st.masks, out, pool, st.probe)
+    };
     match st.ov {
         None => {
             {
@@ -487,35 +457,14 @@ fn rhs_stage(
                 exchange(st.ctx, st.plan, st.part, field, tag)?;
             }
             let _s = st.probe.start(Phase::Rhs);
-            eval_rhs_local(
-                st.mesh,
-                st.owned.clone(),
-                st.params,
-                field,
-                patches,
-                ws,
-                scratch,
-                st.masks,
-                out,
-            );
+            eval(st.owned_list, field, out, None);
         }
         Some((split, pool)) => {
             let handles = post_exchange(st.ctx, st.plan, field, tag);
             let t0 = Instant::now();
             {
                 let _s = st.probe.start(Phase::HaloOverlap);
-                eval_rhs_list(
-                    st.mesh,
-                    &split.interior,
-                    &split.regions_of,
-                    st.params,
-                    field,
-                    patches,
-                    st.masks,
-                    out,
-                    pool,
-                    st.probe,
-                );
+                eval(&split.interior, field, out, Some(pool));
             }
             st.probe.add(Counter::HaloOverlapUs, t0.elapsed().as_micros() as u64);
             let t1 = Instant::now();
@@ -525,18 +474,7 @@ fn rhs_stage(
             }
             st.probe.add(Counter::HaloWaitUs, t1.elapsed().as_micros() as u64);
             let _s = st.probe.start(Phase::Rhs);
-            eval_rhs_list(
-                st.mesh,
-                &split.boundary,
-                &split.regions_of,
-                st.params,
-                field,
-                patches,
-                st.masks,
-                out,
-                pool,
-                st.probe,
-            );
+            eval(&split.boundary, field, out, Some(pool));
         }
     }
     Ok(())
@@ -668,6 +606,7 @@ fn evolve_span(
     let plan = GhostSchedule::build(&part, dependencies(mesh).into_iter());
     let dt = opts.dt;
     let masks = crate::boundary::boundary_face_masks(mesh);
+    let regions_of = boundary_regions_of(mesh);
     // One probe handle per rank thread: spans carry per-thread ids, and
     // counters are shared atomics, so concurrent ranks attribute cleanly.
     let probe = world_cfg.probe.clone();
@@ -675,6 +614,7 @@ fn evolve_span(
     let plan_ref = &plan;
     let part_ref = &part;
     let masks_ref = &masks;
+    let regions_ref = &regions_of;
     let start_step = opts.start_step;
     let steps = opts.steps;
     let snapshot = opts.snapshot;
@@ -689,10 +629,7 @@ fn evolve_span(
         let mut stage = Field::zeros(NUM_VARS, n);
         let mut k = Field::zeros(NUM_VARS, n);
         let mut acc = Field::zeros(NUM_VARS, n);
-        let mut patches = PatchField::zeros(NUM_VARS, n);
-        let mut ws = RhsWorkspace::new(1);
-        let mut scratch = EvalScratch::new();
-        probe.add(Counter::WorkspaceAllocs, 1);
+        let owned_list: Vec<usize> = owned.clone().collect();
         // Overlapped path: static interior/boundary classification plus
         // the shared worker pool, both built once per span.
         let split = overlap.then(|| classify_owned(mesh, &owned));
@@ -704,6 +641,8 @@ fn evolve_span(
             mesh,
             params: &params,
             owned: owned.clone(),
+            owned_list: &owned_list,
+            regions_of: regions_ref,
             masks: masks_ref,
             probe: &probe,
             ov: split.as_ref().zip(pool.as_deref()),
@@ -719,7 +658,7 @@ fn evolve_span(
                 }
             }
             // k1.
-            rhs_stage(&st, &mut u, &mut patches, &mut ws, &mut scratch, &mut k, stage_tag(s, 0))?;
+            rhs_stage(&st, &mut u, &mut k, stage_tag(s, 0))?;
             for e in owned.clone() {
                 for v in 0..NUM_VARS {
                     for (a, (b, kk)) in acc
@@ -742,15 +681,7 @@ fn evolve_span(
             for (si, (w_acc, w_stage)) in
                 [(dt / 3.0, dt / 2.0), (dt / 3.0, dt)].into_iter().enumerate()
             {
-                rhs_stage(
-                    &st,
-                    &mut stage,
-                    &mut patches,
-                    &mut ws,
-                    &mut scratch,
-                    &mut k,
-                    stage_tag(s, 1 + si as u64),
-                )?;
+                rhs_stage(&st, &mut stage, &mut k, stage_tag(s, 1 + si as u64))?;
                 for e in owned.clone() {
                     for v in 0..NUM_VARS {
                         for (a, kk) in acc.block_mut(v, e).iter_mut().zip(k.block(v, e).iter()) {
@@ -767,15 +698,7 @@ fn evolve_span(
                 }
             }
             // k4.
-            rhs_stage(
-                &st,
-                &mut stage,
-                &mut patches,
-                &mut ws,
-                &mut scratch,
-                &mut k,
-                stage_tag(s, 3),
-            )?;
+            rhs_stage(&st, &mut stage, &mut k, stage_tag(s, 3))?;
             for e in owned.clone() {
                 for v in 0..NUM_VARS {
                     for (uu, (a, kk)) in u

@@ -59,6 +59,10 @@ pub fn transfer_state(
     let mut out = Field::zeros(dof, new_mesh.n_octants());
     let prolong = Prolongation::new();
     let mut ws = ProlongWorkspace::new();
+    // Reused across every prolonged (octant, variable, level).
+    let mut fine = vec![0.0f64; FINE_SIDE * FINE_SIDE * FINE_SIDE];
+    let mut cur = vec![0.0f64; BLOCK_VOLUME];
+    let mut next = vec![0.0f64; BLOCK_VOLUME];
     let old_keys: Vec<MortonKey> = old_mesh.octants.iter().map(|o| o.key).collect();
 
     for (ni, ninfo) in new_mesh.octants.iter().enumerate() {
@@ -82,14 +86,13 @@ pub fn transfer_state(
                     // Prolong the ancestor down to nk (possibly several
                     // levels).
                     for v in 0..dof {
-                        let mut cur = old_state.block(v, oi).to_vec();
+                        cur.copy_from_slice(old_state.block(v, oi));
                         let mut cur_key = anc_key;
                         while cur_key.level() < nk.level() {
                             let child = nk.ancestor_at(cur_key.level() + 1);
                             let idx = child.child_index();
-                            let mut next = vec![0.0; BLOCK_VOLUME];
-                            prolong_to_child_ws(&prolong, &mut ws, &cur, idx, &mut next);
-                            cur = next;
+                            prolong.prolong_to_child_ws(&cur, idx, &mut next, &mut ws, &mut fine);
+                            std::mem::swap(&mut cur, &mut next);
                             cur_key = child;
                         }
                         out.block_mut(v, ni).copy_from_slice(&cur);
@@ -105,25 +108,6 @@ pub fn transfer_state(
         }
     }
     Ok(out)
-}
-
-fn prolong_to_child_ws(
-    prolong: &Prolongation,
-    ws: &mut ProlongWorkspace,
-    coarse: &[f64],
-    child: usize,
-    out: &mut [f64],
-) {
-    let mut fine = vec![0.0f64; FINE_SIDE * FINE_SIDE * FINE_SIDE];
-    prolong.prolong3d_ws(coarse, &mut fine, ws);
-    let r = POINTS_PER_SIDE;
-    let ox = (child & 1) * (r - 1);
-    let oy = ((child >> 1) & 1) * (r - 1);
-    let oz = ((child >> 2) & 1) * (r - 1);
-    let l = PatchLayout::octant();
-    for (i, j, k) in l.iter() {
-        out[l.idx(i, j, k)] = fine[((k + oz) * FINE_SIDE + (j + oy)) * FINE_SIDE + (i + ox)];
-    }
 }
 
 /// Fill a new (coarser) octant by sampling coincident points of old

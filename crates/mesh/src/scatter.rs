@@ -8,7 +8,7 @@
 use crate::field::{Field, PatchField};
 use crate::grid::{Mesh, ScatterKind, ScatterOp};
 use gw_par::{tree_reduce, ThreadPool, UnsafeSlice};
-use gw_stencil::interp::{ProlongWorkspace, Prolongation, FINE_SIDE};
+use gw_stencil::interp::{FineBox, ProlongWorkspace, Prolongation, FINE_SIDE};
 use gw_stencil::patch::{PatchLayout, PADDING, PATCH_VOLUME, POINTS_PER_SIDE};
 use std::cell::RefCell;
 
@@ -101,6 +101,33 @@ pub fn for_each_scatter_point(op: &ScatterOp, mut visit: impl FnMut(usize, usize
     }
 }
 
+/// The fine sub-box of the source's prolonged `(2r−1)^3` block that a
+/// `Prolong` op reads: per axis, the image `j = off + (p − 3)` of the
+/// op's padding range clipped to `0..2r−1` — exactly the indices
+/// [`for_each_scatter_point`] visits, so prolonging only this box
+/// ([`Prolongation::prolong_box_ws`]) feeds the op bit-identical values.
+pub fn prolong_box(op: &ScatterOp) -> FineBox {
+    debug_assert_eq!(op.kind, ScatterKind::Prolong);
+    let f = FINE_SIDE as i32;
+    let clip = |a: usize, p: usize| (op.off[a] + p as i32 - PADDING as i32).clamp(0, f) as usize;
+    let ranges = [0, 1, 2].map(|a| region_range(op.delta[a]));
+    let lo = [0, 1, 2].map(|a| clip(a, ranges[a].start));
+    let hi = [0, 1, 2].map(|a| clip(a, ranges[a].end));
+    FineBox { lo, hi }
+}
+
+/// The box a source octant prolongs for its outgoing ops: the hull of
+/// the [`prolong_box`]es of its `Prolong` ops (`None` without any). The
+/// three separable passes need a box, and every point an op reads lies
+/// in its own box, hence in the hull.
+pub fn prolong_union(ops: &[ScatterOp]) -> Option<FineBox> {
+    ops.iter()
+        .filter(|op| op.kind == ScatterKind::Prolong)
+        .map(prolong_box)
+        .filter(|b| b.volume() > 0)
+        .reduce(FineBox::hull)
+}
+
 /// Execute one scatter op for one variable. `src_block` is the source
 /// octant's `r^3` data; `fine13` must hold the source's prolonged
 /// `(2r−1)^3` block when `kind == Prolong` (pass anything otherwise).
@@ -122,8 +149,10 @@ pub fn apply_scatter_op(
 
 /// Octant-to-patch via **loop-over-octants** (the paper's approach):
 /// each octant copies its interior into its own patch, prolongs itself
-/// *once* if any finer... (coarser-destination) target exists, and
-/// scatters to all neighbor patches. Single-threaded host version.
+/// *once* if it has any finer neighbour (a `Prolong` op, whose target
+/// patch reads interpolated coarse values), and scatters to all neighbour
+/// patches. Single-threaded host version; it prolongs the full block and
+/// stays the correctness oracle and the Fig. 7 baseline.
 ///
 /// Returns total interpolation flops (for AI accounting).
 pub fn fill_patches_scatter(mesh: &Mesh, field: &Field, patches: &mut PatchField) -> u64 {
@@ -153,7 +182,9 @@ pub fn fill_patches_scatter(mesh: &Mesh, field: &Field, patches: &mut PatchField
 }
 
 /// Octant-parallel [`fill_patches_scatter`]: one task per source octant,
-/// mirroring the paper's one-GPU-block-per-octant kernel grid. Race
+/// mirroring the paper's one-GPU-block-per-octant kernel grid. A source
+/// prolongs only its [`prolong_union`] box — the rest of the fine block
+/// is never read — so the returned flops are the union-box flops. Race
 /// freedom is structural — each task writes its own patch interior plus
 /// the padding targets of its outgoing ops, and `Mesh::build` asserts
 /// that those target sets are disjoint across sources (the write
@@ -184,7 +215,7 @@ pub fn fill_patches_scatter_par(
             let o = PatchLayout::octant();
             let p = PatchLayout::padded();
             let ops = mesh.scatter_of(e);
-            let needs_prolong = ops.iter().any(|op| op.kind == ScatterKind::Prolong);
+            let union = prolong_union(ops);
             let mut fl = 0u64;
             for var in 0..dof {
                 let src = field.block(var, e);
@@ -200,8 +231,8 @@ pub fn fill_patches_scatter_par(
                         )
                     };
                 }
-                if needs_prolong {
-                    fl += prolong.prolong3d_ws(src, fine13, ws);
+                if let Some(b) = union {
+                    fl += prolong.prolong_box_ws(src, fine13, ws, b.lo, b.hi);
                 }
                 for op in ops {
                     let base = (var * n_oct + op.dst as usize) * PATCH_VOLUME;
@@ -590,12 +621,27 @@ mod tests {
         patches_to_octants(&mesh, &p_ref, &mut back_ref);
         let mut sync_ref = f.clone();
         sync_interfaces(&mesh, &mut sync_ref);
+        // The parallel kernel prolongs only each source's union box: its
+        // flops are exactly those boxes' pass outputs (2r flops each),
+        // strictly fewer than the serial full-block prolongations.
+        let r = POINTS_PER_SIDE as u64;
+        let flops_union: u64 = (0..mesh.n_octants())
+            .filter_map(|e| prolong_union(mesh.scatter_of(e)))
+            .map(|b| {
+                let [bx, by, bz] = [0, 1, 2].map(|a| (b.hi[a] - b.lo[a]) as u64);
+                dof as u64 * 2 * r * (bx * r * r + bx * by * r + bx * by * bz)
+            })
+            .sum();
+        assert!(
+            0 < flops_union && flops_union < flops_ref,
+            "union-box flops {flops_union} vs full {flops_ref}"
+        );
         for threads in [1usize, 2, 3, 8] {
             let pool = gw_par::ThreadPool::new(threads);
             let mut p = PatchField::zeros(dof, mesh.n_octants());
             p.fill(f64::NAN);
             let flops = fill_patches_scatter_par(&mesh, &f, &mut p, &pool);
-            assert_eq!(flops, flops_ref, "flop count differs at {threads} threads");
+            assert_eq!(flops, flops_union, "flop count differs at {threads} threads");
             fill_boundary_padding_par(&mesh, &mut p, dof, &pool);
             let bits = |s: &[f64]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             assert_eq!(
@@ -609,6 +655,45 @@ mod tests {
             let mut sync = f.clone();
             sync_interfaces_par(&mesh, &mut sync, &pool);
             assert_eq!(bits(sync.as_slice()), bits(sync_ref.as_slice()));
+        }
+    }
+
+    #[test]
+    fn prolong_box_is_the_bounding_box_of_what_the_op_reads() {
+        // The box must cover every index the walk visits (or the boxed
+        // prolongation would feed stale values) and be tight (or it
+        // would waste work).
+        let mesh = adaptive_mesh();
+        let mut n_prolong = 0;
+        for op in mesh.scatter.iter().filter(|op| op.kind == ScatterKind::Prolong) {
+            let mut lo = [usize::MAX; 3];
+            let mut hi = [0usize; 3];
+            for_each_scatter_point(op, |_, src_idx| {
+                let j = [
+                    src_idx % FINE_SIDE,
+                    src_idx / FINE_SIDE % FINE_SIDE,
+                    src_idx / FINE_SIDE.pow(2),
+                ];
+                for a in 0..3 {
+                    lo[a] = lo[a].min(j[a]);
+                    hi[a] = hi[a].max(j[a] + 1);
+                }
+            });
+            assert_eq!(prolong_box(op), FineBox { lo, hi }, "op {op:?}");
+            n_prolong += 1;
+        }
+        assert!(n_prolong > 0);
+        for e in 0..mesh.n_octants() {
+            let ops = mesh.scatter_of(e);
+            match prolong_union(ops) {
+                None => assert!(ops.iter().all(|op| op.kind != ScatterKind::Prolong)),
+                Some(u) => {
+                    assert!(u.volume() < FineBox::FULL.volume(), "octant {e} prolongs everything");
+                    for op in ops.iter().filter(|op| op.kind == ScatterKind::Prolong) {
+                        assert_eq!(prolong_box(op).hull(u), u);
+                    }
+                }
+            }
         }
     }
 

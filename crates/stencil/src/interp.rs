@@ -15,6 +15,32 @@ use crate::patch::{PatchLayout, POINTS_PER_SIDE};
 /// Fine points along a refined edge: `2r − 1`.
 pub const FINE_SIDE: usize = 2 * POINTS_PER_SIDE - 1;
 
+/// A half-open sub-box `lo..hi` (per axis) of fine-block indices in
+/// `0..FINE_SIDE` — the part of a prolonged block some consumer reads.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct FineBox {
+    pub lo: [usize; 3],
+    pub hi: [usize; 3],
+}
+
+impl FineBox {
+    /// The whole `(2r−1)^3` block.
+    pub const FULL: FineBox = FineBox { lo: [0; 3], hi: [FINE_SIDE; 3] };
+
+    /// Smallest box containing both `self` and `other`.
+    pub fn hull(self, other: FineBox) -> FineBox {
+        FineBox {
+            lo: [0, 1, 2].map(|a| self.lo[a].min(other.lo[a])),
+            hi: [0, 1, 2].map(|a| self.hi[a].max(other.hi[a])),
+        }
+    }
+
+    /// Number of fine points in the box.
+    pub fn volume(&self) -> usize {
+        (0..3).map(|a| self.hi[a].saturating_sub(self.lo[a])).product()
+    }
+}
+
 /// Lagrange basis weights for evaluating at `x` from nodes `nodes`.
 pub fn lagrange_weights(nodes: &[f64], x: f64) -> Vec<f64> {
     let n = nodes.len();
@@ -162,77 +188,118 @@ impl Prolongation {
         self.prolong3d_ws(coarse, fine, &mut ws)
     }
 
-    /// Allocation-free variant of [`Prolongation::prolong3d`].
+    /// Allocation-free variant of [`Prolongation::prolong3d`]: the
+    /// full-block call of [`Prolongation::prolong_box_ws`].
     pub fn prolong3d_ws(&self, coarse: &[f64], fine: &mut [f64], ws: &mut ProlongWorkspace) -> u64 {
+        self.prolong_box_ws(coarse, fine, ws, FineBox::FULL.lo, FineBox::FULL.hi)
+    }
+
+    /// Prolong only the fine sub-box `lo..hi` (half-open per axis) of the
+    /// `(2r−1)^3` block; points of `fine` outside the box are left
+    /// untouched. The passes shrink with the box — pass 1 runs over
+    /// `x ∈ box` for all coarse `(y, z)`, pass 2 over `(x, y) ∈ box` for
+    /// all coarse `z`, pass 3 over the box — and every value inside the
+    /// box is produced by the same weights summed in the same order as in
+    /// the full prolongation, so it is bit-identical to the corresponding
+    /// point of [`Prolongation::prolong3d_ws`]. Returns the flop count
+    /// (`2r` per pass output).
+    pub fn prolong_box_ws(
+        &self,
+        coarse: &[f64],
+        fine: &mut [f64],
+        ws: &mut ProlongWorkspace,
+        lo: [usize; 3],
+        hi: [usize; 3],
+    ) -> u64 {
         let r = POINTS_PER_SIDE;
         let f = FINE_SIDE;
         debug_assert_eq!(coarse.len(), r * r * r);
         debug_assert_eq!(fine.len(), f * f * f);
-        let mut flops = 0u64;
-        // Pass 1: x direction, (r,r,r) -> (f,r,r).
+        debug_assert!(hi.iter().all(|&h| h <= f), "box {lo:?}..{hi:?} exceeds the fine block");
+        if (0..3).any(|a| lo[a] >= hi[a]) {
+            return 0;
+        }
+        let (xs, ys, zs) = (lo[0]..hi[0], lo[1]..hi[1], lo[2]..hi[2]);
+        // Pass 1: x direction, (r,r,r) -> (box x, r, r).
         let t1 = &mut ws.t1;
         for kz in 0..r {
             for ky in 0..r {
-                for i in 0..f {
+                for i in xs.clone() {
                     let row = &self.rows[i];
                     let mut acc = 0.0;
                     for (c, w) in row.iter().enumerate() {
                         acc += w * coarse[(kz * r + ky) * r + c];
                     }
                     t1[(kz * r + ky) * f + i] = acc;
-                    flops += 2 * r as u64;
                 }
             }
         }
-        // Pass 2: y direction, (f,r,r) -> (f,f,r).
+        // Pass 2: y direction, (box x, r, r) -> (box x, box y, r).
         let t2 = &mut ws.t2;
         for kz in 0..r {
-            for j in 0..f {
+            for j in ys.clone() {
                 let row = &self.rows[j];
-                for i in 0..f {
+                for i in xs.clone() {
                     let mut acc = 0.0;
                     for (c, w) in row.iter().enumerate() {
                         acc += w * t1[(kz * r + c) * f + i];
                     }
                     t2[(kz * f + j) * f + i] = acc;
-                    flops += 2 * r as u64;
                 }
             }
         }
-        // Pass 3: z direction, (f,f,r) -> (f,f,f).
-        for kk in 0..f {
+        // Pass 3: z direction, (box x, box y, r) -> box.
+        for kk in zs {
             let row = &self.rows[kk];
-            for j in 0..f {
-                for i in 0..f {
+            for j in ys.clone() {
+                for i in xs.clone() {
                     let mut acc = 0.0;
                     for (c, w) in row.iter().enumerate() {
                         acc += w * t2[(c * f + j) * f + i];
                     }
                     fine[(kk * f + j) * f + i] = acc;
-                    flops += 2 * r as u64;
                 }
             }
         }
-        flops
+        let [bx, by, bz] = [0, 1, 2].map(|a| (hi[a] - lo[a]) as u64);
+        let r = r as u64;
+        2 * r * (bx * r * r + bx * by * r + bx * by * bz)
     }
 
     /// Prolong directly into one child's `r^3` block (`child` is the Morton
     /// child index: bit 0 = x-high, bit 1 = y-high, bit 2 = z-high).
+    /// Allocates a fine block; repeated transfers should use
+    /// [`Prolongation::prolong_to_child_ws`].
     pub fn prolong_to_child(&self, coarse: &[f64], child: usize, out: &mut [f64]) -> u64 {
+        let mut ws = ProlongWorkspace::new();
+        let mut fine = vec![0.0f64; FINE_SIDE * FINE_SIDE * FINE_SIDE];
+        self.prolong_to_child_ws(coarse, child, out, &mut ws, &mut fine)
+    }
+
+    /// Allocation-free [`Prolongation::prolong_to_child`]: prolongs only
+    /// the child's `r^3` box of the fine block (bit-identical to the
+    /// window of the full prolongation, see
+    /// [`Prolongation::prolong_box_ws`]) through the caller's reusable
+    /// `(2r−1)^3` buffer `fine`.
+    pub fn prolong_to_child_ws(
+        &self,
+        coarse: &[f64],
+        child: usize,
+        out: &mut [f64],
+        ws: &mut ProlongWorkspace,
+        fine: &mut [f64],
+    ) -> u64 {
         let r = POINTS_PER_SIDE;
         debug_assert!(child < 8);
         debug_assert_eq!(out.len(), r * r * r);
-        let mut fine = vec![0.0f64; FINE_SIDE * FINE_SIDE * FINE_SIDE];
-        let flops = self.prolong3d(coarse, &mut fine);
-        let ox = (child & 1) * (r - 1);
-        let oy = ((child >> 1) & 1) * (r - 1);
-        let oz = ((child >> 2) & 1) * (r - 1);
+        let o = [0, 1, 2].map(|a| ((child >> a) & 1) * (r - 1));
+        let flops = self.prolong_box_ws(coarse, fine, ws, o, o.map(|v| v + r));
         let l = PatchLayout::octant();
         for kz in 0..r {
             for ky in 0..r {
                 for kx in 0..r {
                     out[l.idx(kx, ky, kz)] =
-                        fine[((kz + oz) * FINE_SIDE + (ky + oy)) * FINE_SIDE + (kx + ox)];
+                        fine[((kz + o[2]) * FINE_SIDE + (ky + o[1])) * FINE_SIDE + (kx + o[0])];
                 }
             }
         }
@@ -383,5 +450,58 @@ mod tests {
         let mut coarse = vec![0.0; POINTS_PER_SIDE];
         inject_1d(&fine, &mut coarse);
         assert_eq!(coarse, vec![0.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0]);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Deterministic pseudo-random coarse block (full-mantissa values, so
+    /// any reordering of the sums would show in the bits).
+    fn random_block(seed: u64) -> Vec<f64> {
+        let mut s = seed | 1;
+        (0..POINTS_PER_SIDE.pow(3))
+            .map(|_| {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                (s >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn prolong_box_matches_full_inside_and_leaves_outside_untouched(
+            seed in 0u64..u64::MAX,
+            lo in prop::array::uniform3(0usize..FINE_SIDE),
+            ext in prop::array::uniform3(0usize..FINE_SIDE + 1),
+        ) {
+            let p = Prolongation::new();
+            let coarse = random_block(seed);
+            let mut full = vec![0.0; FINE_SIDE.pow(3)];
+            p.prolong3d(&coarse, &mut full);
+            let hi = [0, 1, 2].map(|a| (lo[a] + ext[a]).min(FINE_SIDE));
+            let sentinel = f64::from_bits(0x7ff8_dead_beef_0001);
+            let mut boxed = vec![sentinel; FINE_SIDE.pow(3)];
+            let mut ws = ProlongWorkspace::new();
+            let flops = p.prolong_box_ws(&coarse, &mut boxed, &mut ws, lo, hi);
+            for kz in 0..FINE_SIDE {
+                for ky in 0..FINE_SIDE {
+                    for kx in 0..FINE_SIDE {
+                        let i = (kz * FINE_SIDE + ky) * FINE_SIDE + kx;
+                        let inside = [kx, ky, kz].iter().enumerate()
+                            .all(|(a, &k)| (lo[a]..hi[a]).contains(&k));
+                        let expect = if inside { full[i] } else { sentinel };
+                        prop_assert_eq!(boxed[i].to_bits(), expect.to_bits());
+                    }
+                }
+            }
+            let b = FineBox { lo, hi };
+            prop_assert_eq!(flops == 0, b.volume() == 0);
+        }
     }
 }
