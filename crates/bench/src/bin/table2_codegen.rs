@@ -6,10 +6,13 @@
 //! Spill bytes come from the Belady register-file model over each
 //! schedule; the speedup column is measured by executing the three tapes
 //! over a batch of grid points (the working-set/locality effect the
-//! paper attributes to reduced spilling).
+//! paper attributes to reduced spilling). The host time is given both
+//! per point (`Tape::eval_into`) and lane-batched (`Tape::eval_lanes`
+//! over `gw_bssn::rhs::LANES` points, as the solver runs it).
 
 use gw_bench::table::num;
 use gw_bench::TablePrinter;
+use gw_bssn::rhs::LANES;
 use gw_expr::bssn::{build_bssn_rhs, BssnParams};
 use gw_expr::schedule::{schedule, ScheduleStrategy};
 use gw_expr::symbols::NUM_INPUTS;
@@ -51,6 +54,7 @@ fn main() {
         "max live",
         "slots",
         "host ns/pt",
+        "lanes ns/pt",
         "model speedup",
         "paper speedup",
     ]);
@@ -83,6 +87,20 @@ fn main() {
             tape.eval_into(&inputs, &mut out, &mut slots);
         }
         let per_pt = t0.elapsed().as_secs_f64() / n_points as f64 * 1e9;
+        // The same point in every lane, the same number of points.
+        let lane_inputs: Vec<[f64; LANES]> = inputs.iter().map(|&x| [x; LANES]).collect();
+        let mut lane_out = vec![[0.0; LANES]; tape.n_outputs];
+        let mut lane_slots = vec![[0.0; LANES]; tape.n_slots];
+        let batches = n_points / LANES;
+        for _ in 0..100 / LANES + 1 {
+            tape.eval_lanes(&lane_inputs, &mut lane_out, &mut lane_slots);
+        }
+        let t0 = Instant::now();
+        for _ in 0..batches {
+            tape.eval_lanes(&lane_inputs, &mut lane_out, &mut lane_slots);
+        }
+        let per_lane_pt = t0.elapsed().as_secs_f64() / (batches * LANES) as f64 * 1e9;
+        assert_eq!(lane_out.iter().map(|o| o[LANES - 1]).collect::<Vec<_>>(), out);
         let tm = model_time(&tape);
         if i == 0 {
             base_model = tm;
@@ -94,6 +112,7 @@ fn main() {
             live.to_string(),
             tape.n_slots.to_string(),
             num(per_pt),
+            num(per_lane_pt),
             format!("{:.2}x", base_model / tm),
             format!("{:.2}x", paper[i].3),
         ]);

@@ -41,6 +41,13 @@ impl DerivWorkspace {
         &mut self.data[b * BLOCK_VOLUME..(b + 1) * BLOCK_VOLUME]
     }
 
+    /// The `r^3` block of flat input `input_slot` (a derivative slot).
+    #[inline]
+    pub fn block(&self, input_slot: usize) -> &[f64] {
+        let b = input_slot - NUM_VARS;
+        &self.data[b * BLOCK_VOLUME..(b + 1) * BLOCK_VOLUME]
+    }
+
     #[inline]
     pub fn value(&self, input_slot: usize, point: usize) -> f64 {
         let b = input_slot - NUM_VARS;

@@ -8,9 +8,19 @@
 use crate::derivs::{fields_at, DerivWorkspace};
 use crate::point::bssn_rhs_point;
 use gw_expr::bssn::BssnParams;
-use gw_expr::symbols::{NUM_INPUTS, NUM_VARS};
+use gw_expr::symbols::{var, NUM_INPUTS, NUM_VARS};
 use gw_expr::tape::Tape;
-use gw_stencil::patch::{PatchLayout, BLOCK_VOLUME};
+use gw_stencil::patch::{PatchLayout, BLOCK_VOLUME, PADDING};
+
+/// Points a generated tape evaluates per batch ([`Tape::eval_lanes`]).
+///
+/// Chosen by measurement on one 7³ octant of the staged+CSE tape: 16 to
+/// 64 lanes amortize the per-instruction dispatch about equally, fewer
+/// leave it dominant, and 128 outgrows the cache. The lane buffers are
+/// (234 inputs + 24 outputs + 144 slots) × `LANES` × 8 B ≈ 0.1 MB. The
+/// octant's 343 points make 10 full batches and one partial batch (see
+/// DESIGN.md §13).
+pub const LANES: usize = 32;
 
 /// Which `A` implementation to run.
 pub enum RhsMode<'a> {
@@ -23,18 +33,69 @@ pub enum RhsMode<'a> {
 /// Scratch buffers for one octant's RHS evaluation.
 pub struct RhsWorkspace {
     pub derivs: DerivWorkspace,
+    /// One point's inputs and outputs: the pointwise `A` and
+    /// [`RhsWorkspace::point_inputs`].
     inputs: Vec<f64>,
     point_out: Vec<f64>,
-    slots: Vec<f64>,
+    /// A batch of [`LANES`] points, structure-of-arrays, for the tape.
+    lane_inputs: Vec<[f64; LANES]>,
+    lane_out: Vec<[f64; LANES]>,
+    lane_slots: Vec<[f64; LANES]>,
 }
 
 impl RhsWorkspace {
+    /// Buffers for a tape of at most `max_slots` temporaries (any value
+    /// for the pointwise `A`).
     pub fn new(max_slots: usize) -> Self {
         Self {
             derivs: DerivWorkspace::new(),
             inputs: vec![0.0; NUM_INPUTS],
             point_out: vec![0.0; NUM_VARS],
-            slots: vec![0.0; max_slots.max(1)],
+            lane_inputs: vec![[0.0; LANES]; NUM_INPUTS],
+            lane_out: vec![[0.0; LANES]; NUM_VARS],
+            lane_slots: vec![[0.0; LANES]; max_slots.max(1)],
+        }
+    }
+
+    /// The largest tape slot count these buffers can evaluate.
+    pub fn max_slots(&self) -> usize {
+        self.lane_slots.len()
+    }
+
+    /// Stage the 234 inputs of block point `(i, j, k)` — raw field values
+    /// from `patches` and the derivative blocks of the last
+    /// [`bssn_rhs_patch`] call — and return them with a 24-entry output
+    /// buffer for one point.
+    pub fn point_inputs(
+        &mut self,
+        patches: &[&[f64]],
+        i: usize,
+        j: usize,
+        k: usize,
+    ) -> (&[f64], &mut [f64]) {
+        let pt = PatchLayout::octant().idx(i, j, k);
+        self.derivs.assemble_inputs(&fields_at(patches, i, j, k), pt, &mut self.inputs);
+        (&self.inputs, &mut self.point_out)
+    }
+
+    /// Gather block points `p0..p0 + n` (`1 ≤ n ≤ LANES`) into the lane
+    /// inputs: field values from the patch interiors with the χ floor
+    /// applied, derivatives as one slice copy per block. Lanes `n..` repeat
+    /// the last real point, so every lane computes on real data.
+    fn gather_lanes(&mut self, patches: &[&[f64]], chi_floor: f64, p0: usize, n: usize) {
+        let (o, p) = (PatchLayout::octant(), PatchLayout::padded());
+        for l in 0..LANES {
+            let (i, j, k) = o.coords(p0 + l.min(n - 1));
+            let idx = p.idx(i + PADDING, j + PADDING, k + PADDING);
+            for v in 0..NUM_VARS {
+                self.lane_inputs[v][l] = patches[v][idx];
+            }
+            self.lane_inputs[var::CHI][l] = self.lane_inputs[var::CHI][l].max(chi_floor);
+        }
+        for (slot, lanes) in self.lane_inputs.iter_mut().enumerate().skip(NUM_VARS) {
+            let block = &self.derivs.block(slot)[p0..p0 + n];
+            lanes[..n].copy_from_slice(block);
+            lanes[n..].fill(block[n - 1]);
         }
     }
 }
@@ -54,37 +115,37 @@ pub fn bssn_rhs_patch(
     assert_eq!(patches.len(), NUM_VARS);
     assert_eq!(out.len(), NUM_VARS);
     let d_flops = ws.derivs.compute(patches, h);
-    let o = PatchLayout::octant();
-    let mut a_flops = 0u64;
-    for (i, j, k) in o.iter() {
-        let pt = o.idx(i, j, k);
-        let mut fields = fields_at(patches, i, j, k);
-        // Moving-puncture χ floor (regularizes the 1/χ terms near the
-        // punctures; both A paths see the same clamped value).
-        fields[gw_expr::symbols::var::CHI] =
-            fields[gw_expr::symbols::var::CHI].max(params.chi_floor);
-        ws.derivs.assemble_inputs(&fields, pt, &mut ws.inputs);
-        match mode {
-            RhsMode::Pointwise => {
+    match mode {
+        RhsMode::Pointwise => {
+            let o = PatchLayout::octant();
+            for (i, j, k) in o.iter() {
+                let pt = o.idx(i, j, k);
+                let mut fields = fields_at(patches, i, j, k);
+                // Moving-puncture χ floor (regularizes the 1/χ terms near
+                // the punctures; both A paths see the same clamped value).
+                fields[var::CHI] = fields[var::CHI].max(params.chi_floor);
+                ws.derivs.assemble_inputs(&fields, pt, &mut ws.inputs);
                 bssn_rhs_point(&ws.inputs, &mut ws.point_out, params);
-                a_flops += 2200; // handwritten op count estimate
+                for v in 0..NUM_VARS {
+                    out[v][pt] = ws.point_out[v];
+                }
             }
-            RhsMode::Tape(t) => {
-                t.eval_into(&ws.inputs, &mut ws.point_out, &mut ws.slots);
-                a_flops += t.flops;
-            }
+            // Handwritten op count estimate.
+            (d_flops, 2200 * BLOCK_VOLUME as u64)
         }
-        for v in 0..NUM_VARS {
-            out[v][pt] = ws.point_out[v];
+        RhsMode::Tape(t) => {
+            assert!(ws.max_slots() >= t.n_slots, "workspace built for a smaller tape");
+            for p0 in (0..BLOCK_VOLUME).step_by(LANES) {
+                let n = LANES.min(BLOCK_VOLUME - p0);
+                ws.gather_lanes(patches, params.chi_floor, p0, n);
+                t.eval_lanes(&ws.lane_inputs, &mut ws.lane_out, &mut ws.lane_slots);
+                for v in 0..NUM_VARS {
+                    out[v][p0..p0 + n].copy_from_slice(&ws.lane_out[v][..n]);
+                }
+            }
+            (d_flops, t.flops * BLOCK_VOLUME as u64)
         }
     }
-    (d_flops, a_flops)
-}
-
-/// Convenience: run the RHS over a full mesh-shaped patch set, filling a
-/// block-per-octant output. Used by tests and the CPU backend.
-pub fn rhs_blocks_volume() -> usize {
-    BLOCK_VOLUME
 }
 
 #[cfg(test)]
@@ -149,6 +210,61 @@ mod tests {
                     assert!(
                         (a - b).abs() < 1e-10 * (1.0 + a.abs()),
                         "{strat:?} var {v} pt {pt}: {a} vs {b}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lane_batched_tape_matches_per_point_reference_bitwise() {
+        // χ dips below the floor over part of the octant, so the lane
+        // gather must clamp exactly where the per-point path does.
+        let h = 0.05;
+        let mut patches = smooth_patches(h);
+        let p = PatchLayout::padded();
+        for (i, j, k) in p.iter() {
+            let x = (i + 2 * j + 3 * k) as f64 * 0.3;
+            patches[var::CHI][p.idx(i, j, k)] = 1e-4 * (1.0 + 0.9 * x.sin());
+        }
+        let refs: Vec<&[f64]> = patches.iter().map(|p| p.as_slice()).collect();
+        let params = BssnParams::default();
+        let o = PatchLayout::octant();
+        let floored = o
+            .iter()
+            .filter(|&(i, j, k)| fields_at(&refs, i, j, k)[var::CHI] < params.chi_floor)
+            .count();
+        assert!(floored > 0 && floored < BLOCK_VOLUME, "{floored} floored points");
+
+        let rhs = build_bssn_rhs(params);
+        for strat in ScheduleStrategy::all() {
+            let tape = Tape::compile(&rhs.graph, &schedule(&rhs.graph, &rhs.outputs, strat), 56);
+            let mut ws = RhsWorkspace::new(tape.n_slots);
+            let mut out: Vec<Vec<f64>> = vec![vec![0.0; BLOCK_VOLUME]; NUM_VARS];
+            let mut views: Vec<&mut [f64]> = out.iter_mut().map(|v| v.as_mut_slice()).collect();
+            let (_, a_flops) =
+                bssn_rhs_patch(&refs, h, &params, &RhsMode::Tape(&tape), &mut ws, &mut views);
+            assert_eq!(a_flops, tape.flops * BLOCK_VOLUME as u64);
+
+            // Per-point reference: floored fields, assembled inputs, one
+            // single-lane evaluation per point.
+            let mut inputs = vec![0.0; NUM_INPUTS];
+            let mut point = vec![0.0; NUM_VARS];
+            let mut slots = vec![0.0; tape.n_slots];
+            for (i, j, k) in o.iter() {
+                let pt = o.idx(i, j, k);
+                let mut fields = fields_at(&refs, i, j, k);
+                fields[var::CHI] = fields[var::CHI].max(params.chi_floor);
+                ws.derivs.assemble_inputs(&fields, pt, &mut inputs);
+                tape.eval_into(&inputs, &mut point, &mut slots);
+                for v in 0..NUM_VARS {
+                    assert!(point[v].is_finite(), "{strat:?} var {v} pt {pt}");
+                    assert_eq!(
+                        out[v][pt].to_bits(),
+                        point[v].to_bits(),
+                        "{strat:?} var {v} pt {pt}: {} vs {}",
+                        out[v][pt],
+                        point[v]
                     );
                 }
             }

@@ -18,7 +18,7 @@ use gw_bssn::rhs::{bssn_rhs_patch, RhsMode, RhsWorkspace};
 use gw_bssn::BssnParams;
 use gw_expr::bssn::build_bssn_rhs;
 use gw_expr::schedule::{schedule, ScheduleStrategy};
-use gw_expr::symbols::{NUM_INPUTS, NUM_VARS};
+use gw_expr::symbols::NUM_VARS;
 use gw_expr::tape::Tape;
 use gw_gpu_sim::{CounterSnapshot, Device, LaunchConfig};
 use gw_mesh::scatter::{fill_boundary_padding_par, fill_patches_scatter_par};
@@ -275,13 +275,13 @@ impl Backend for CpuBackend {
         let out = UnsafeSlice::new(self.bufs[buf_index(output)].as_mut_slice());
         // One task per octant, as in the GPU backend's `grid1(n)` RHS
         // launch. Pool workers persist across backends, so the cached
-        // workspace (and the Sommerfeld staging buffers riding with it)
-        // is rebuilt whenever the tape slot count changes — never per
-        // octant, which `Counter::WorkspaceAllocs` asserts.
+        // workspace is rebuilt only when a tape needs more slots than it
+        // holds — never per octant, which `Counter::WorkspaceAllocs`
+        // asserts, and never back and forth between backends sharing
+        // the pool with different tapes.
         let per_oct: Vec<(u64, u64)> = self.pool.map(n, |e| {
-            type Cached = (usize, RhsWorkspace, Vec<f64>, Vec<f64>);
             thread_local! {
-                static WS: std::cell::RefCell<Option<Cached>> =
+                static WS: std::cell::RefCell<Option<RhsWorkspace>> =
                     const { std::cell::RefCell::new(None) };
             }
             let h = mesh.octants[e].h;
@@ -289,17 +289,11 @@ impl Backend for CpuBackend {
             WS.with(|cell| {
                 let mut borrow = cell.borrow_mut();
                 let slots = tape.as_ref().map(|t| t.n_slots).unwrap_or(1);
-                if borrow.as_ref().map(|e| e.0 != slots).unwrap_or(true) {
+                if borrow.as_ref().is_none_or(|ws| ws.max_slots() < slots) {
                     probe.add(Counter::WorkspaceAllocs, 1);
-                    *borrow = Some((
-                        slots,
-                        RhsWorkspace::new(slots),
-                        vec![0.0; NUM_INPUTS],
-                        vec![0.0; NUM_VARS],
-                    ));
+                    *borrow = Some(RhsWorkspace::new(slots));
                 }
-                let (_, ws, inputs_buf, point_out) =
-                    borrow.as_mut().expect("workspace just initialized");
+                let ws = borrow.as_mut().expect("workspace just initialized");
                 let mode = match tape {
                     Some(t) => RhsMode::Tape(t),
                     None => RhsMode::Pointwise,
@@ -310,16 +304,7 @@ impl Backend for CpuBackend {
                     unsafe { out.slice_mut((v * n + e) * BLOCK_VOLUME, BLOCK_VOLUME) }
                 });
                 let (df, af) = bssn_rhs_patch(&patch_refs, h, &params, &mode, ws, &mut out_blocks);
-                sommerfeld_fix(
-                    mesh,
-                    e,
-                    masks[e],
-                    &patch_refs,
-                    ws,
-                    inputs_buf,
-                    point_out,
-                    &mut out_blocks,
-                );
+                sommerfeld_fix(mesh, e, masks[e], &patch_refs, ws, &mut out_blocks);
                 (df, af)
             })
         });
@@ -519,17 +504,16 @@ impl GpuBackend {
                 &patches[(v * n + e) * PATCH_VOLUME..(v * n + e + 1) * PATCH_VOLUME]
             });
             ctx.global_load(NUM_VARS * PATCH_VOLUME);
-            type Cached = (RhsWorkspace, Vec<f64>, Vec<f64>);
             thread_local! {
-                static WS: std::cell::RefCell<Option<Cached>> =
+                static WS: std::cell::RefCell<Option<RhsWorkspace>> =
                     const { std::cell::RefCell::new(None) };
             }
             WS.with(|cell| {
                 let mut borrow = cell.borrow_mut();
                 let slots = tape.as_ref().map(|t| t.n_slots).unwrap_or(1);
-                let (ws, inputs_buf, point_out) = borrow.get_or_insert_with(|| {
+                let ws = borrow.get_or_insert_with(|| {
                     probe.add(Counter::WorkspaceAllocs, 1);
-                    (RhsWorkspace::new(slots), vec![0.0; NUM_INPUTS], vec![0.0; NUM_VARS])
+                    RhsWorkspace::new(slots)
                 });
                 let mode = match tape {
                     Some(t) => RhsMode::Tape(t),
@@ -550,16 +534,7 @@ impl GpuBackend {
                     spill_per_point.0 * BLOCK_VOLUME as u64,
                     spill_per_point.1 * BLOCK_VOLUME as u64,
                 );
-                sommerfeld_fix(
-                    mesh,
-                    e,
-                    masks[e],
-                    &patch_refs,
-                    ws,
-                    inputs_buf,
-                    point_out,
-                    &mut out_blocks,
-                );
+                sommerfeld_fix(mesh, e, masks[e], &patch_refs, ws, &mut out_blocks);
             });
             ctx.global_store(NUM_VARS * BLOCK_VOLUME);
         });
@@ -803,6 +778,32 @@ mod tests {
     }
 
     #[test]
+    fn gpu_generated_rhs_meters_tape_flops_and_spills_per_point() {
+        // The lane-batched tape evaluation must leave the device model
+        // untouched: per octant, the derivative flop model plus the
+        // tape's flops for each of the r³ points, and the tape's
+        // per-point spill traffic times r³.
+        let mesh = adaptive_mesh();
+        let u = wavey_state(&mesh);
+        let kind = RhsKind::Generated(ScheduleStrategy::StagedCse);
+        let mut gpu = GpuBackend::new(&mesh, BssnParams::default(), kind, Device::a100());
+        gpu.upload(&u);
+        gpu.o2p_only(&mesh, Buf::U);
+        let before = gpu.counters();
+        gpu.rhs_only(&mesh, Buf::K);
+        let d = gpu.counters().delta_since(&before);
+
+        let tape = gpu.tape.as_ref().expect("generated backend holds a tape");
+        let zero = vec![0.0; PATCH_VOLUME];
+        let deriv_model = gw_bssn::DerivWorkspace::new().compute(&[zero.as_slice(); NUM_VARS], 1.0);
+        let (n, pts) = (mesh.n_octants() as u64, BLOCK_VOLUME as u64);
+        assert_eq!(d.launches, 1);
+        assert_eq!(d.flops, n * (deriv_model + tape.flops * pts));
+        assert_eq!(d.spill_load_bytes, n * pts * tape.spill_stats.spill_load_bytes);
+        assert_eq!(d.spill_store_bytes, n * pts * tape.spill_stats.spill_store_bytes);
+    }
+
+    #[test]
     fn axpy_ops_work_on_both_backends() {
         let mesh = small_mesh();
         let u = wavey_state(&mesh);
@@ -845,9 +846,12 @@ mod tests {
         let mesh = adaptive_mesh();
         let u = wavey_state(&mesh);
         let params = BssnParams::default();
+        let staged = RhsKind::Generated(ScheduleStrategy::StagedCse);
         let mut backends: Vec<Box<dyn Backend>> = vec![
             Box::new(CpuBackend::new(&mesh, params, RhsKind::Pointwise)),
             Box::new(GpuBackend::new(&mesh, params, RhsKind::Pointwise, Device::a100())),
+            Box::new(CpuBackend::new(&mesh, params, staged)),
+            Box::new(GpuBackend::new(&mesh, params, staged, Device::a100())),
         ];
         for b in &mut backends {
             let probe = Probe::enabled();
@@ -863,7 +867,7 @@ mod tests {
             let workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
             let bound = match b.name() {
                 // Persistent pool: one workspace per worker (+ the
-                // submitter), for the life of the process.
+                // submitter), rebuilt only to grow for a larger tape.
                 "cpu" => (b.n_threads() + 1) as u64,
                 // gpu-sim scopes its block executors to each launch
                 // (kernel-launch semantics), so the cache lives
@@ -927,9 +931,12 @@ mod tests {
         let mesh = small_mesh();
         let u = wavey_state(&mesh);
         let params = BssnParams::default();
+        let staged = RhsKind::Generated(ScheduleStrategy::StagedCse);
         let mut backends: Vec<Box<dyn Backend>> = vec![
             Box::new(CpuBackend::new(&mesh, params, RhsKind::Pointwise)),
             Box::new(GpuBackend::new(&mesh, params, RhsKind::Pointwise, Device::a100())),
+            Box::new(CpuBackend::new(&mesh, params, staged)),
+            Box::new(GpuBackend::new(&mesh, params, staged, Device::a100())),
         ];
         for b in &mut backends {
             let probe = Probe::enabled();

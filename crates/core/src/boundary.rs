@@ -8,7 +8,7 @@
 
 use gw_bssn::rhs::RhsWorkspace;
 use gw_bssn::sommerfeld::sommerfeld_rhs_point;
-use gw_expr::symbols::{NUM_INPUTS, NUM_VARS};
+use gw_expr::symbols::NUM_VARS;
 use gw_mesh::Mesh;
 use gw_stencil::patch::{PatchLayout, POINTS_PER_SIDE};
 
@@ -43,32 +43,28 @@ pub fn on_masked_face(mask: u8, i: usize, j: usize, k: usize) -> bool {
 }
 
 /// Apply the Sommerfeld override to an octant's freshly computed RHS
-/// blocks. Reuses the derivative workspace filled by `bssn_rhs_patch`.
-#[allow(clippy::too_many_arguments)]
+/// blocks. Reuses the derivative blocks `bssn_rhs_patch` left in `ws`
+/// and stages each face point through the workspace's own buffers.
 pub fn sommerfeld_fix(
     mesh: &Mesh,
     oct: usize,
     mask: u8,
     patches: &[&[f64]],
-    ws: &RhsWorkspace,
-    inputs_buf: &mut [f64],
-    point_out: &mut [f64],
+    ws: &mut RhsWorkspace,
     out: &mut [&mut [f64]],
 ) {
     if mask == 0 {
         return;
     }
-    debug_assert!(inputs_buf.len() >= NUM_INPUTS && point_out.len() >= NUM_VARS);
     let o = PatchLayout::octant();
     for (i, j, k) in o.iter() {
         if !on_masked_face(mask, i, j, k) {
             continue;
         }
-        let pt = o.idx(i, j, k);
-        let fields = gw_bssn::derivs::fields_at(patches, i, j, k);
-        ws.derivs.assemble_inputs(&fields, pt, inputs_buf);
         let pos = mesh.point_coords(oct, i, j, k);
-        sommerfeld_rhs_point(inputs_buf, pos, point_out);
+        let (u, point_out) = ws.point_inputs(patches, i, j, k);
+        sommerfeld_rhs_point(u, pos, point_out);
+        let pt = o.idx(i, j, k);
         for v in 0..NUM_VARS {
             out[v][pt] = point_out[v];
         }

@@ -23,7 +23,7 @@ use gw_bssn::rhs::{bssn_rhs_patch, RhsMode, RhsWorkspace};
 use gw_bssn::BssnParams;
 use gw_comm::world::WorldConfig;
 use gw_comm::{CommError, GhostPlan, GhostSchedule, RankCtx, RecvHandle, World};
-use gw_expr::symbols::{NUM_INPUTS, NUM_VARS};
+use gw_expr::symbols::NUM_VARS;
 use gw_mesh::{Field, Mesh};
 use gw_obs::{Counter, Phase, Probe};
 use gw_octree::partition::{partition_uniform, PartitionMap};
@@ -270,16 +270,13 @@ fn apply_syncs(mesh: &Mesh, indices: &[usize], u: &mut Field) {
 }
 
 /// Reusable per-evaluator scratch: the 24 padded patches of the octant
-/// being evaluated, the gather/prolongation buffers, and the per-point
-/// input/output staging of the Sommerfeld fix. Cached once per
+/// being evaluated and the gather/prolongation buffers. Cached once per
 /// evaluating thread (the rank thread, or each pool worker on the
 /// overlapped path) next to its [`RhsWorkspace`] and counted in
 /// [`Counter::WorkspaceAllocs`] — the hot loop itself never allocates,
 /// and no rank holds a full-mesh patch field.
 struct EvalScratch {
     patches: Vec<f64>,
-    inputs: Vec<f64>,
-    point: Vec<f64>,
     prolong: Prolongation,
     pws: ProlongWorkspace,
     fine13: Vec<f64>,
@@ -289,8 +286,6 @@ impl EvalScratch {
     fn new() -> Self {
         Self {
             patches: vec![0.0; NUM_VARS * PATCH_VOLUME],
-            inputs: vec![0.0; NUM_INPUTS],
-            point: vec![0.0; NUM_VARS],
             prolong: Prolongation::new(),
             pws: ProlongWorkspace::new(),
             fine13: vec![0.0f64; FINE_SIDE * FINE_SIDE * FINE_SIDE],
@@ -351,16 +346,7 @@ fn eval_octant(
         std::array::from_fn(|v| &scratch.patches[v * PATCH_VOLUME..(v + 1) * PATCH_VOLUME]);
     let h = mesh.octants[e].h;
     bssn_rhs_patch(&patch_refs, h, params, &RhsMode::Pointwise, ws, out_blocks);
-    crate::boundary::sommerfeld_fix(
-        mesh,
-        e,
-        mask,
-        &patch_refs,
-        ws,
-        &mut scratch.inputs,
-        &mut scratch.point,
-        out_blocks,
-    );
+    crate::boundary::sommerfeld_fix(mesh, e, mask, &patch_refs, ws, out_blocks);
 }
 
 /// [`eval_octant`] over an explicit octant list: serially on the calling

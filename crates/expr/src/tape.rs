@@ -2,10 +2,11 @@
 //!
 //! A [`Tape`] is the bytecode the "code generator" emits — the runnable
 //! artifact corresponding to the CUDA C the paper's SymPyGR pipeline
-//! produces. The solver's generated-RHS backends interpret one tape per
-//! grid point (the `A` component of the RHS); the three scheduling
-//! strategies produce tapes with identical arithmetic but different
-//! temporary-slot footprints, which is what Fig. 11 / Table II measure.
+//! produces. The solver's generated-RHS backends interpret it over
+//! batches of grid points ([`Tape::eval_lanes`]) for the `A` component
+//! of the RHS; the three scheduling strategies produce tapes with
+//! identical arithmetic but different temporary-slot footprints, which
+//! is what Fig. 11 / Table II measure.
 //!
 //! Slot allocation reuses freed slots, so the tape's `n_slots` equals the
 //! schedule's peak live count plus the operand window — the working-set
@@ -70,7 +71,7 @@ pub enum TapeInstr {
 pub struct Tape {
     pub instrs: Vec<TapeInstr>,
     pub constants: Vec<f64>,
-    /// Temporary slots needed by [`Tape::eval_into`].
+    /// Temporary slots needed per point by [`Tape::eval_lanes`].
     pub n_slots: usize,
     pub n_inputs: usize,
     pub n_outputs: usize,
@@ -251,30 +252,44 @@ impl Tape {
 
     /// Evaluate the tape for one point. `slots` must have `n_slots`
     /// capacity and is reused across calls (the hot-loop workhorse
-    /// buffer).
+    /// buffer). This is [`Tape::eval_lanes`] with a single lane.
     pub fn eval_into(&self, inputs: &[f64], outputs: &mut [f64], slots: &mut [f64]) {
+        self.eval_lanes::<1>(
+            inputs.as_chunks().0,
+            outputs.as_chunks_mut().0,
+            slots.as_chunks_mut().0,
+        );
+    }
+
+    /// Evaluate the tape for `L` points at once, structure-of-arrays:
+    /// `inputs[i][l]` is input `i` of point `l`, and likewise for
+    /// `outputs` and the `n_slots` temporaries in `slots`.
+    ///
+    /// Each instruction is dispatched once per batch; under it runs a
+    /// branch-free loop over the lanes that the compiler can vectorize.
+    /// Every lane executes the same IEEE operations in the same order as
+    /// a one-point evaluation of its own inputs, so the results are
+    /// bit-identical to [`Tape::eval_into`] point by point.
+    pub fn eval_lanes<const L: usize>(
+        &self,
+        inputs: &[[f64; L]],
+        outputs: &mut [[f64; L]],
+        slots: &mut [[f64; L]],
+    ) {
         debug_assert!(slots.len() >= self.n_slots);
         debug_assert!(outputs.len() >= self.n_outputs);
         for ins in &self.instrs {
             match *ins {
-                TapeInstr::Const { dst, c } => slots[dst as usize] = self.constants[c as usize],
+                TapeInstr::Const { dst, c } => {
+                    slots[dst as usize] = [self.constants[c as usize]; L]
+                }
                 TapeInstr::Input { dst, i } => slots[dst as usize] = inputs[i as usize],
-                TapeInstr::Add { dst, a, b } => {
-                    slots[dst as usize] = slots[a as usize] + slots[b as usize]
-                }
-                TapeInstr::Sub { dst, a, b } => {
-                    slots[dst as usize] = slots[a as usize] - slots[b as usize]
-                }
-                TapeInstr::Mul { dst, a, b } => {
-                    slots[dst as usize] = slots[a as usize] * slots[b as usize]
-                }
-                TapeInstr::Div { dst, a, b } => {
-                    slots[dst as usize] = slots[a as usize] / slots[b as usize]
-                }
-                TapeInstr::Neg { dst, a } => slots[dst as usize] = -slots[a as usize],
-                TapeInstr::Powi { dst, a, n } => {
-                    slots[dst as usize] = slots[a as usize].powi(n as i32)
-                }
+                TapeInstr::Add { dst, a, b } => lanes2(slots, dst, a, b, |x, y| x + y),
+                TapeInstr::Sub { dst, a, b } => lanes2(slots, dst, a, b, |x, y| x - y),
+                TapeInstr::Mul { dst, a, b } => lanes2(slots, dst, a, b, |x, y| x * y),
+                TapeInstr::Div { dst, a, b } => lanes2(slots, dst, a, b, |x, y| x / y),
+                TapeInstr::Neg { dst, a } => lanes1(slots, dst, a, |x| -x),
+                TapeInstr::Powi { dst, a, n } => lanes1(slots, dst, a, |x| x.powi(n as i32)),
                 TapeInstr::Output { o, a } => outputs[o as usize] = slots[a as usize],
             }
         }
@@ -287,6 +302,28 @@ impl Tape {
         self.eval_into(inputs, &mut out, &mut slots);
         out
     }
+}
+
+/// `slots[dst] = f(slots[a])` lane by lane. The operand is copied first,
+/// so `dst` may equal `a`.
+#[inline(always)]
+fn lanes1<const L: usize>(slots: &mut [[f64; L]], dst: u16, a: u16, f: impl Fn(f64) -> f64) {
+    let x = slots[a as usize];
+    slots[dst as usize] = std::array::from_fn(|l| f(x[l]));
+}
+
+/// `slots[dst] = f(slots[a], slots[b])` lane by lane. The operands are
+/// copied first, so `dst` may equal `a` or `b`.
+#[inline(always)]
+fn lanes2<const L: usize>(
+    slots: &mut [[f64; L]],
+    dst: u16,
+    a: u16,
+    b: u16,
+    f: impl Fn(f64, f64) -> f64,
+) {
+    let (x, y) = (slots[a as usize], slots[b as usize]);
+    slots[dst as usize] = std::array::from_fn(|l| f(x[l], y[l]));
 }
 
 #[cfg(test)]
@@ -397,6 +434,7 @@ mod tests {
 mod proptests {
     use super::*;
     use crate::schedule::{schedule, ScheduleStrategy};
+    use crate::symbols::NUM_INPUTS;
     use proptest::prelude::*;
 
     /// Build a random DAG over 4 inputs from a sequence of op codes; every
@@ -420,6 +458,80 @@ mod proptests {
         }
         // Up to 3 roots from the tail of the pool.
         pool.iter().rev().take(3).copied().collect()
+    }
+
+    /// The BSSN `A`-component tape of every strategy, compiled once.
+    fn bssn_tapes() -> &'static [Tape] {
+        use crate::bssn::{build_bssn_rhs, BssnParams};
+        static TAPES: std::sync::OnceLock<Vec<Tape>> = std::sync::OnceLock::new();
+        TAPES.get_or_init(|| {
+            let rhs = build_bssn_rhs(BssnParams::default());
+            ScheduleStrategy::all()
+                .iter()
+                .map(|&s| Tape::compile(&rhs.graph, &schedule(&rhs.graph, &rhs.outputs, s), 56))
+                .collect()
+        })
+    }
+
+    /// Evaluate `points` (one input vector each) in batches of `L` lanes,
+    /// the last partial batch padded with its last real point, and return
+    /// the outputs of the real points.
+    fn eval_batched<const L: usize>(tape: &Tape, points: &[Vec<f64>]) -> Vec<Vec<f64>> {
+        let mut inputs = vec![[0.0; L]; tape.n_inputs];
+        let mut outputs = vec![[0.0; L]; tape.n_outputs];
+        let mut slots = vec![[0.0; L]; tape.n_slots];
+        let mut got = Vec::with_capacity(points.len());
+        for batch in points.chunks(L) {
+            for (i, lanes) in inputs.iter_mut().enumerate() {
+                for (l, x) in lanes.iter_mut().enumerate() {
+                    *x = batch[l.min(batch.len() - 1)][i];
+                }
+            }
+            tape.eval_lanes(&inputs, &mut outputs, &mut slots);
+            got.extend((0..batch.len()).map(|l| outputs.iter().map(|o| o[l]).collect()));
+        }
+        got
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+        #[test]
+        fn eval_lanes_matches_per_point_eval_bitwise(
+            noise in prop::collection::vec(-0.05f64..0.05, NUM_INPUTS..NUM_INPUTS * 20),
+        ) {
+            use crate::symbols::{input_value, var};
+            // Near-flat points: unit lapse, χ and conformal-metric
+            // diagonal plus noise, so every output is finite.
+            let points: Vec<Vec<f64>> = noise
+                .chunks_exact(NUM_INPUTS)
+                .map(|u| {
+                    let mut u = u.to_vec();
+                    for v in [var::ALPHA, var::CHI, var::gt(0, 0), var::gt(1, 1), var::gt(2, 2)] {
+                        u[input_value(v)] += 1.0;
+                    }
+                    u
+                })
+                .collect();
+            for tape in bssn_tapes() {
+                let mut out = vec![0.0; tape.n_outputs];
+                let mut slots = vec![0.0; tape.n_slots];
+                // Lane counts that leave a partial last batch for most
+                // point counts, including an odd one.
+                for got in [eval_batched::<8>(tape, &points), eval_batched::<7>(tape, &points)] {
+                    prop_assert_eq!(got.len(), points.len());
+                    for (p, u) in points.iter().enumerate() {
+                        tape.eval_into(u, &mut out, &mut slots);
+                        for (o, (a, b)) in got[p].iter().zip(&out).enumerate() {
+                            prop_assert!(
+                                b.is_finite() && a.to_bits() == b.to_bits(),
+                                "{} point {p} output {o}: {a:e} vs {b:e}",
+                                tape.strategy_name
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     proptest! {
