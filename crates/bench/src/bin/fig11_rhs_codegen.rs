@@ -51,12 +51,12 @@ fn main() {
                 Device::a100(),
             );
             gpu.upload(&u);
-            gpu.o2p_only(mesh, Buf::U); // patches ready once
-            gpu.rhs_only(mesh, Buf::K); // warm-up
+            gpu.o2p_raw(mesh, Buf::U); // patches ready once
+            gpu.rhs_raw(mesh, Buf::K); // warm-up
             let evals = 3; // scaled from the paper's 10 (single-core host)
             let t0 = Instant::now();
             for _ in 0..evals {
-                gpu.rhs_only(mesh, Buf::K);
+                gpu.rhs_raw(mesh, Buf::K);
             }
             let ms = t0.elapsed().as_secs_f64() * 1e3;
             if strat == ScheduleStrategy::CseTopo {

@@ -62,11 +62,11 @@ fn main() {
         );
         gpu.upload(&u);
         let b0 = gpu.counters();
-        gpu.o2p_only(&mesh, Buf::U);
+        gpu.o2p_raw(&mesh, Buf::U);
         let b1 = gpu.counters();
         let d_o2p = b1.delta_since(&b0);
         points.push((roofline.point(&format!("o2p {name}"), &d_o2p, None), effective_ai(&d_o2p)));
-        gpu.rhs_only(&mesh, Buf::K);
+        gpu.rhs_raw(&mesh, Buf::K);
         let b2 = gpu.counters();
         let d_rhs = b2.delta_since(&b1);
         points.push((roofline.point(&format!("RHS {name}"), &d_rhs, None), effective_ai(&d_rhs)));

@@ -46,8 +46,8 @@ fn main() {
         let before = gpu.counters();
         let wall = Instant::now();
         for _ in 0..3 {
-            gpu.o2p_only(&mesh, Buf::U);
-            gpu.rhs_only(&mesh, Buf::K);
+            gpu.o2p_raw(&mesh, Buf::U);
+            gpu.rhs_raw(&mesh, Buf::K);
         }
         let wall_ms = wall.elapsed().as_secs_f64() * 1e3;
         let d = gpu.counters().delta_since(&before);

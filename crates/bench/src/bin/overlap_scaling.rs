@@ -20,14 +20,31 @@ use gw_bench::grids::bbh_grid;
 use gw_bench::table::num;
 use gw_bench::TablePrinter;
 use gw_bssn::init::LinearWaveData;
-use gw_bssn::BssnParams;
 use gw_comm::WorldConfig;
-use gw_core::multi::evolve_distributed_cfg;
-use gw_core::solver::fill_field;
+use gw_core::multi::DistributedResult;
+use gw_core::{Run, SolverConfig};
 use gw_mesh::Mesh;
 use gw_obs::{Counter, Probe};
-use gw_octree::Domain;
+use gw_octree::{Domain, MortonKey};
 use std::time::Instant;
+
+/// One step of the linear wave on a copy of `mesh` over `ranks` ranks,
+/// metered by `probe`: the result and the run's wall time in ms.
+fn run(mesh: &Mesh, ranks: usize, world: WorldConfig, probe: &Probe) -> (DistributedResult, f64) {
+    let wave = LinearWaveData::new(1e-3, 0.0, 2.0, 1.0);
+    let leaves: Vec<MortonKey> = mesh.octants.iter().map(|o| o.key).collect();
+    let run = Run::new(SolverConfig::default())
+        .mesh(Mesh::build(mesh.domain, &leaves))
+        .init(move |p, out: &mut [f64]| wave.evaluate(p, out))
+        .steps(1)
+        .distributed(ranks)
+        .world(world)
+        .probe(probe.clone());
+    let t0 = Instant::now();
+    let out = run.execute().unwrap_or_else(|e| panic!("distributed run failed: {e}"));
+    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+    (out.distributed.expect("distributed runs report an outcome").result, wall_ms)
+}
 
 /// Halo-span milliseconds as a share of all recorded work-phase time.
 fn halo_share(trace: &gw_obs::Trace) -> f64 {
@@ -61,35 +78,19 @@ fn main() {
         ("fig17_strong", bbh_grid(domain, 6.0, 2, 5)),
         ("fig18_weak_p2", bbh_grid(domain, 6.0, 3, 5)),
     ];
-    let params = BssnParams::default();
-    let wave = LinearWaveData::new(1e-3, 0.0, 2.0, 1.0);
-    let steps = 1;
 
     let mut rows: Vec<Row> = Vec::new();
     let mut last_overlap_trace: Option<gw_obs::Trace> = None;
     for (name, mesh) in &grids {
-        let u0 = fill_field(mesh, &|p, out: &mut [f64]| wave.evaluate(p, out));
         println!("\n== {name}: {} octants, {} unknowns ==", mesh.n_octants(), mesh.unknowns(24));
         for ranks in [2usize, 4] {
             let probe_b = Probe::enabled();
-            let cfg_b = WorldConfig { probe: probe_b.clone(), ..WorldConfig::default() };
-            let t0 = Instant::now();
-            let blocking = evolve_distributed_cfg(mesh, &u0, ranks, steps, 0.25, params, cfg_b)
-                .expect("blocking run");
-            let wall_b = t0.elapsed().as_secs_f64() * 1e3;
+            let (blocking, wall_b) = run(mesh, ranks, WorldConfig::default(), &probe_b);
             let trace_b = probe_b.report().expect("blocking trace");
 
             let probe_o = Probe::enabled();
-            let cfg_o = WorldConfig {
-                overlap: true,
-                overlap_threads: 1,
-                probe: probe_o.clone(),
-                ..WorldConfig::default()
-            };
-            let t1 = Instant::now();
-            let overlapped = evolve_distributed_cfg(mesh, &u0, ranks, steps, 0.25, params, cfg_o)
-                .expect("overlapped run");
-            let wall_o = t1.elapsed().as_secs_f64() * 1e3;
+            let cfg_o = WorldConfig { overlap: true, overlap_threads: 1, ..WorldConfig::default() };
+            let (overlapped, wall_o) = run(mesh, ranks, cfg_o, &probe_o);
             let trace_o = probe_o.report().expect("overlapped trace");
 
             assert_eq!(

@@ -9,44 +9,55 @@
 //! All three produce bit-identical states (asserted), so the table is a
 //! pure throughput comparison of the recovery machinery.
 
-// The deprecated wrapper is exercised on purpose: this bin times the
-// driver the `Run` builder delegates to.
-#![allow(deprecated)]
-
 use gw_bench::grids::uniform_grid;
 use gw_bench::table::num;
 use gw_bench::TablePrinter;
 use gw_bssn::init::LinearWaveData;
-use gw_bssn::BssnParams;
 use gw_comm::world::WorldConfig;
 use gw_comm::CommFaultPlan;
-use gw_core::multi::{
-    evolve_distributed_cfg, evolve_distributed_resilient, KillSpec, ResilienceConfig,
-};
-use gw_core::solver::fill_field;
+use gw_core::multi::{KillSpec, ResilienceConfig, ResilientOutcome};
 use gw_core::supervisor::DegradationPolicy;
+use gw_core::{Run, RunError, SolverConfig};
 use gw_octree::Domain;
 use std::time::{Duration, Instant};
 
-fn main() {
-    let ranks = 4;
-    let steps = 6;
-    let domain = Domain::centered_cube(8.0);
-    let mesh = uniform_grid(domain, 2);
+const RANKS: usize = 4;
+const STEPS: usize = 6;
+
+/// The linear wave on the level-2 uniform grid, `STEPS` steps over
+/// `RANKS` ranks: the outcome and its wall time in seconds. A failure
+/// may roll back only within `resilience`'s retry budget.
+fn run(
+    world: WorldConfig,
+    resilience: ResilienceConfig,
+) -> Result<(ResilientOutcome, f64), RunError> {
     let wave = LinearWaveData::new(1e-3, 0.0, 2.0, 1.0);
-    let u0 = fill_field(&mesh, &|p, out: &mut [f64]| wave.evaluate(p, out));
-    let params = BssnParams::default();
-    println!(
-        "resilience overhead: {} octants on {ranks} ranks, {steps} RK4 steps",
-        mesh.n_octants()
-    );
+    let run = Run::new(SolverConfig::default())
+        .mesh(uniform_grid(Domain::centered_cube(8.0), 2))
+        .init(move |p, out: &mut [f64]| wave.evaluate(p, out))
+        .steps(STEPS)
+        .distributed(RANKS)
+        .world(world)
+        .resilience(resilience);
+    let t0 = Instant::now();
+    let out = run.execute()?;
+    let secs = t0.elapsed().as_secs_f64();
+    Ok((out.distributed.expect("distributed runs report an outcome"), secs))
+}
+
+fn main() {
+    let (ranks, steps) = (RANKS, STEPS);
+    let n_oct = uniform_grid(Domain::centered_cube(8.0), 2).n_octants();
+    println!("resilience overhead: {n_oct} octants on {ranks} ranks, {steps} RK4 steps");
+    // Runs 1 and 2 must succeed without any rollback.
+    let no_retries = || ResilienceConfig {
+        degradation: DegradationPolicy { courant_factor: 1.0, ko_boost: 0.0, max_retries: 0 },
+        ..ResilienceConfig::default()
+    };
 
     // 1. Fault-free baseline (reliable layer active, nothing to recover).
-    let t0 = Instant::now();
-    let baseline =
-        evolve_distributed_cfg(&mesh, &u0, ranks, steps, 0.25, params, WorldConfig::default())
-            .expect("fault-free run");
-    let t_free = t0.elapsed().as_secs_f64();
+    let (baseline, t_free) = run(WorldConfig::default(), no_retries()).expect("fault-free run");
+    let baseline = baseline.result;
 
     // 2. 1 % of halo messages dropped; every loss recovered in-line by
     //    the receiver-driven retransmission protocol.
@@ -55,11 +66,9 @@ fn main() {
         heartbeat_interval: Duration::from_millis(5),
         ..WorldConfig::default()
     };
-    let t0 = Instant::now();
-    let dropped = evolve_distributed_cfg(&mesh, &u0, ranks, steps, 0.25, params, cfg)
-        .expect("1% drops must be recovered by retransmission");
-    let t_drop = t0.elapsed().as_secs_f64();
-    for (a, b) in baseline.state.as_slice().iter().zip(dropped.state.as_slice().iter()) {
+    let (dropped, t_drop) =
+        run(cfg, no_retries()).expect("1% drops must be recovered by retransmission");
+    for (a, b) in baseline.state.as_slice().iter().zip(dropped.result.state.as_slice().iter()) {
         assert_eq!(a, b, "retransmission recovery must be bit-identical");
     }
 
@@ -77,11 +86,8 @@ fn main() {
     };
     let cfg =
         WorldConfig { heartbeat_interval: Duration::from_millis(5), ..WorldConfig::default() };
-    let t0 = Instant::now();
-    let rolled =
-        evolve_distributed_resilient(&mesh, &u0, ranks, steps, 0.25, params, cfg, &resilience)
-            .expect("one death within the retry budget must recover");
-    let t_roll = t0.elapsed().as_secs_f64();
+    let (rolled, t_roll) =
+        run(cfg, resilience).expect("one death within the retry budget must recover");
     let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(rolled.retries, 1, "exactly one rollback expected");
     for (a, b) in baseline.state.as_slice().iter().zip(rolled.result.state.as_slice().iter()) {

@@ -40,11 +40,8 @@ fn main() {
             GpuBackend::new(&mesh, BssnParams::default(), RhsKind::Pointwise, Device::a100());
         gpu.upload(&u);
         let before = gpu.counters();
-        // eval_rhs runs o2p + rhs; we want o2p alone — use the internal
-        // kernel through eval and subtract? Instead: run o2p only via the
-        // host scatter for timing, and meter the device o2p through a
-        // full eval by capturing the o2p launch counters separately.
-        gpu.o2p_only(&mesh, Buf::U);
+        // The o2p kernel alone (eval_rhs would add the RHS launch).
+        gpu.o2p_raw(&mesh, Buf::U);
         let after = gpu.counters();
         let d = after.delta_since(&before);
         let ai = d.arithmetic_intensity();

@@ -26,7 +26,7 @@ use gw_mesh::sync_interfaces_par;
 use gw_mesh::{Field, Mesh, PatchField};
 use gw_obs::{Counter, Phase, Probe};
 use gw_par::{tree_reduce, ThreadPool, UnsafeSlice};
-use gw_stencil::patch::{PatchLayout, BLOCK_VOLUME, PADDING, PATCH_VOLUME, POINTS_PER_SIDE};
+use gw_stencil::patch::{BLOCK_VOLUME, PATCH_VOLUME};
 use std::sync::Arc;
 
 /// Resident buffer slots used by the RK4 driver.
@@ -70,6 +70,65 @@ fn build_tape(kind: RhsKind, params: BssnParams) -> Option<Tape> {
             let sch = schedule(&rhs.graph, &rhs.outputs, strategy);
             Some(Tape::compile(&rhs.graph, &sch, 56))
         }
+    }
+}
+
+/// The per-octant RHS step every evaluator runs: [`CpuBackend`],
+/// [`GpuBackend`]'s fused kernel and the distributed rank kernel. It
+/// selects the `A` component for the configured [`RhsKind`], runs
+/// [`bssn_rhs_patch`] on one octant's padded patches, then
+/// [`sommerfeld_fix`]. The tape (which bakes in `params`) is built once,
+/// here.
+pub(crate) struct OctantRhs {
+    params: BssnParams,
+    tape: Option<Tape>,
+    masks: Vec<u8>,
+}
+
+impl OctantRhs {
+    pub(crate) fn new(mesh: &Mesh, params: BssnParams, kind: RhsKind) -> Self {
+        Self { params, tape: build_tape(kind, params), masks: boundary_face_masks(mesh) }
+    }
+
+    /// The generated tape, when the kind is [`RhsKind::Generated`].
+    pub(crate) fn tape(&self) -> Option<&Tape> {
+        self.tape.as_ref()
+    }
+
+    /// RHS of octant `e` from its 24 padded patches into its output
+    /// blocks; returns (derivative flops, `A` flops). Stages through the
+    /// calling thread's cached [`RhsWorkspace`], built on first use and
+    /// rebuilt only to grow for a tape with more slots: never per octant
+    /// (counted in [`Counter::WorkspaceAllocs`]), and never back and
+    /// forth between evaluators with different tapes sharing a worker.
+    pub(crate) fn eval(
+        &self,
+        mesh: &Mesh,
+        e: usize,
+        patches: &[&[f64]; NUM_VARS],
+        out: &mut [&mut [f64]; NUM_VARS],
+        probe: &Probe,
+    ) -> (u64, u64) {
+        thread_local! {
+            static WS: std::cell::RefCell<Option<RhsWorkspace>> =
+                const { std::cell::RefCell::new(None) };
+        }
+        WS.with(|cell| {
+            let mut borrow = cell.borrow_mut();
+            let slots = self.tape.as_ref().map_or(1, |t| t.n_slots);
+            if borrow.as_ref().is_none_or(|ws| ws.max_slots() < slots) {
+                probe.add(Counter::WorkspaceAllocs, 1);
+                *borrow = Some(RhsWorkspace::new(slots));
+            }
+            let ws = borrow.as_mut().expect("workspace just initialized");
+            let mode = match &self.tape {
+                Some(t) => RhsMode::Tape(t),
+                None => RhsMode::Pointwise,
+            };
+            let flops = bssn_rhs_patch(patches, mesh.octants[e].h, &self.params, &mode, ws, out);
+            sommerfeld_fix(mesh, e, self.masks[e], patches, ws, out);
+            flops
+        })
     }
 }
 
@@ -194,11 +253,9 @@ pub trait Backend: Send {
 /// results are bit-identical at every thread count (every output slot has
 /// exactly one writer, and reductions are fixed-order — see DESIGN.md).
 pub struct CpuBackend {
-    params: BssnParams,
-    tape: Option<Tape>,
+    rhs: OctantRhs,
     bufs: [Field; NUM_BUFS],
     patches: PatchField,
-    masks: Vec<u8>,
     pool: Arc<ThreadPool>,
     probe: Probe,
     n_oct: usize,
@@ -215,14 +272,11 @@ impl CpuBackend {
     /// Backend with an explicit worker count (`0` = `GW_THREADS` env or
     /// available parallelism).
     pub fn with_threads(mesh: &Mesh, params: BssnParams, kind: RhsKind, threads: usize) -> Self {
-        let tape = build_tape(kind, params);
         let n = mesh.n_octants();
         Self {
-            params,
-            tape,
+            rhs: OctantRhs::new(mesh, params, kind),
             bufs: std::array::from_fn(|_| Field::zeros(NUM_VARS, n)),
             patches: PatchField::zeros(NUM_VARS, n),
-            masks: boundary_face_masks(mesh),
             pool: ThreadPool::shared(threads),
             probe: Probe::disabled(),
             n_oct: n,
@@ -268,45 +322,19 @@ impl Backend for CpuBackend {
     fn rhs_raw(&mut self, mesh: &Mesh, output: Buf) {
         let n = mesh.n_octants();
         let patches = &self.patches;
-        let masks = &self.masks;
-        let params = self.params;
-        let tape = &self.tape;
-        let probe = self.probe.clone();
+        let rhs = &self.rhs;
+        let probe = &self.probe;
         let out = UnsafeSlice::new(self.bufs[buf_index(output)].as_mut_slice());
         // One task per octant, as in the GPU backend's `grid1(n)` RHS
-        // launch. Pool workers persist across backends, so the cached
-        // workspace is rebuilt only when a tape needs more slots than it
-        // holds — never per octant, which `Counter::WorkspaceAllocs`
-        // asserts, and never back and forth between backends sharing
-        // the pool with different tapes.
+        // launch.
         let per_oct: Vec<(u64, u64)> = self.pool.map(n, |e| {
-            thread_local! {
-                static WS: std::cell::RefCell<Option<RhsWorkspace>> =
-                    const { std::cell::RefCell::new(None) };
-            }
-            let h = mesh.octants[e].h;
             let patch_refs: [&[f64]; NUM_VARS] = std::array::from_fn(|v| patches.patch(v, e));
-            WS.with(|cell| {
-                let mut borrow = cell.borrow_mut();
-                let slots = tape.as_ref().map(|t| t.n_slots).unwrap_or(1);
-                if borrow.as_ref().is_none_or(|ws| ws.max_slots() < slots) {
-                    probe.add(Counter::WorkspaceAllocs, 1);
-                    *borrow = Some(RhsWorkspace::new(slots));
-                }
-                let ws = borrow.as_mut().expect("workspace just initialized");
-                let mode = match tape {
-                    Some(t) => RhsMode::Tape(t),
-                    None => RhsMode::Pointwise,
-                };
-                let mut out_blocks: [&mut [f64]; NUM_VARS] = std::array::from_fn(|v| {
-                    // Safety: task e exclusively owns octant e's output
-                    // blocks for all variables.
-                    unsafe { out.slice_mut((v * n + e) * BLOCK_VOLUME, BLOCK_VOLUME) }
-                });
-                let (df, af) = bssn_rhs_patch(&patch_refs, h, &params, &mode, ws, &mut out_blocks);
-                sommerfeld_fix(mesh, e, masks[e], &patch_refs, ws, &mut out_blocks);
-                (df, af)
-            })
+            let mut out_blocks: [&mut [f64]; NUM_VARS] = std::array::from_fn(|v| {
+                // Safety: task e exclusively owns octant e's output
+                // blocks for all variables.
+                unsafe { out.slice_mut((v * n + e) * BLOCK_VOLUME, BLOCK_VOLUME) }
+            });
+            rhs.eval(mesh, e, &patch_refs, &mut out_blocks, probe)
         });
         // Fixed-order reduction (u64 sums are order-independent anyway;
         // kept tree-shaped for policy uniformity).
@@ -363,28 +391,23 @@ fn two_mut(bufs: &mut [Field; NUM_BUFS], a: usize, b: usize) -> (&mut Field, &Fi
 /// device with full traffic metering (Algorithm 1's device side).
 pub struct GpuBackend {
     pub device: Device,
-    params: BssnParams,
-    tape: Option<Tape>,
+    rhs: OctantRhs,
     bufs: [gw_gpu_sim::DeviceBuffer<f64>; NUM_BUFS],
     patches: gw_gpu_sim::DeviceBuffer<f64>,
-    masks: Vec<u8>,
     probe: Probe,
     n_oct: usize,
 }
 
 impl GpuBackend {
     pub fn new(mesh: &Mesh, params: BssnParams, kind: RhsKind, device: Device) -> Self {
-        let tape = build_tape(kind, params);
         let n = mesh.n_octants();
         let bufs = std::array::from_fn(|_| device.alloc::<f64>(NUM_VARS * n * BLOCK_VOLUME));
         let patches = device.alloc::<f64>(NUM_VARS * n * PATCH_VOLUME);
         Self {
             device,
-            params,
-            tape,
+            rhs: OctantRhs::new(mesh, params, kind),
             bufs,
             patches,
-            masks: boundary_face_masks(mesh),
             probe: Probe::disabled(),
             n_oct: n,
         }
@@ -466,19 +489,11 @@ impl GpuBackend {
             // Safety: each (region, var) block writes its own padding
             // region of one patch.
             let patch = unsafe { patches2.slice_mut(off, PATCH_VOLUME) };
-            let p = PatchLayout::padded();
             let mut cnt = 0usize;
-            for pz in gw_mesh::scatter::region_range(delta[2]) {
-                for py in gw_mesh::scatter::region_range(delta[1]) {
-                    for px in gw_mesh::scatter::region_range(delta[0]) {
-                        let cx = px.clamp(PADDING, PADDING + POINTS_PER_SIDE - 1);
-                        let cy = py.clamp(PADDING, PADDING + POINTS_PER_SIDE - 1);
-                        let cz = pz.clamp(PADDING, PADDING + POINTS_PER_SIDE - 1);
-                        patch[p.idx(px, py, pz)] = patch[p.idx(cx, cy, cz)];
-                        cnt += 1;
-                    }
-                }
-            }
+            gw_mesh::scatter::for_each_boundary_point(delta, |dst, src| {
+                patch[dst] = patch[src];
+                cnt += 1;
+            });
             ctx.global_load(cnt);
             ctx.global_store(cnt);
         });
@@ -489,67 +504,35 @@ impl GpuBackend {
         let n = self.n_oct;
         let patches = self.device.kernel_view(&self.patches);
         let out = self.device.kernel_view_mut(&mut self.bufs[buf_index(output)]);
-        let params = self.params;
-        let tape = &self.tape;
-        let masks = &self.masks;
-        let spill_per_point = tape
-            .as_ref()
+        let rhs = &self.rhs;
+        let spill_per_point = rhs
+            .tape()
             .map(|t| (t.spill_stats.spill_load_bytes, t.spill_stats.spill_store_bytes))
             .unwrap_or((0, 0));
-        let probe = self.probe.clone();
+        let probe = &self.probe;
         self.device.launch(LaunchConfig::grid1(n, "bssn-rhs"), |ctx| {
             let e = ctx.bx;
-            let h = mesh.octants[e].h;
             let patch_refs: [&[f64]; NUM_VARS] = std::array::from_fn(|v| {
                 &patches[(v * n + e) * PATCH_VOLUME..(v * n + e + 1) * PATCH_VOLUME]
             });
             ctx.global_load(NUM_VARS * PATCH_VOLUME);
-            thread_local! {
-                static WS: std::cell::RefCell<Option<RhsWorkspace>> =
-                    const { std::cell::RefCell::new(None) };
-            }
-            WS.with(|cell| {
-                let mut borrow = cell.borrow_mut();
-                let slots = tape.as_ref().map(|t| t.n_slots).unwrap_or(1);
-                let ws = borrow.get_or_insert_with(|| {
-                    probe.add(Counter::WorkspaceAllocs, 1);
-                    RhsWorkspace::new(slots)
-                });
-                let mode = match tape {
-                    Some(t) => RhsMode::Tape(t),
-                    None => RhsMode::Pointwise,
-                };
-                let mut out_blocks: [&mut [f64]; NUM_VARS] = std::array::from_fn(|v| {
-                    let off = (v * n + e) * BLOCK_VOLUME;
-                    // Safety: block (e) exclusively owns octant e's
-                    // output blocks for all variables.
-                    unsafe { out.slice_mut(off, BLOCK_VOLUME) }
-                });
-                let (df, af) = bssn_rhs_patch(&patch_refs, h, &params, &mode, ws, &mut out_blocks);
-                ctx.flops(df + af);
-                // Derivative staging traffic (thread-local stores+loads of
-                // the 210 blocks, the paper's register-pressure source).
-                ctx.shared_traffic(2 * 210 * BLOCK_VOLUME);
-                ctx.spill(
-                    spill_per_point.0 * BLOCK_VOLUME as u64,
-                    spill_per_point.1 * BLOCK_VOLUME as u64,
-                );
-                sommerfeld_fix(mesh, e, masks[e], &patch_refs, ws, &mut out_blocks);
+            let mut out_blocks: [&mut [f64]; NUM_VARS] = std::array::from_fn(|v| {
+                let off = (v * n + e) * BLOCK_VOLUME;
+                // Safety: block (e) exclusively owns octant e's output
+                // blocks for all variables.
+                unsafe { out.slice_mut(off, BLOCK_VOLUME) }
             });
+            let (df, af) = rhs.eval(mesh, e, &patch_refs, &mut out_blocks, probe);
+            ctx.flops(df + af);
+            // Derivative staging traffic (thread-local stores+loads of
+            // the 210 blocks, the paper's register-pressure source).
+            ctx.shared_traffic(2 * 210 * BLOCK_VOLUME);
+            ctx.spill(
+                spill_per_point.0 * BLOCK_VOLUME as u64,
+                spill_per_point.1 * BLOCK_VOLUME as u64,
+            );
             ctx.global_store(NUM_VARS * BLOCK_VOLUME);
         });
-    }
-
-    /// Run only the octant-to-patch (+ boundary fill) kernel — used by
-    /// the Table III / Fig. 14 kernel-level measurements.
-    pub fn o2p_only(&mut self, mesh: &Mesh, input: Buf) {
-        self.o2p_kernel(mesh, input);
-    }
-
-    /// Run only the fused RHS kernel (patches must be current) — used by
-    /// the Fig. 11/14/15 kernel-level measurements.
-    pub fn rhs_only(&mut self, mesh: &Mesh, output: Buf) {
-        self.rhs_kernel(mesh, output);
     }
 }
 
@@ -678,6 +661,7 @@ impl Backend for GpuBackend {
 mod tests {
     use super::*;
     use gw_octree::{balance_octree, complete_octree, BalanceMode, Domain, MortonKey};
+    use gw_stencil::patch::PatchLayout;
 
     fn small_mesh() -> Mesh {
         let mut leaves = vec![];
@@ -788,12 +772,12 @@ mod tests {
         let kind = RhsKind::Generated(ScheduleStrategy::StagedCse);
         let mut gpu = GpuBackend::new(&mesh, BssnParams::default(), kind, Device::a100());
         gpu.upload(&u);
-        gpu.o2p_only(&mesh, Buf::U);
+        gpu.o2p_raw(&mesh, Buf::U);
         let before = gpu.counters();
-        gpu.rhs_only(&mesh, Buf::K);
+        gpu.rhs_raw(&mesh, Buf::K);
         let d = gpu.counters().delta_since(&before);
 
-        let tape = gpu.tape.as_ref().expect("generated backend holds a tape");
+        let tape = gpu.rhs.tape().expect("generated backend holds a tape");
         let zero = vec![0.0; PATCH_VOLUME];
         let deriv_model = gw_bssn::DerivWorkspace::new().compute(&[zero.as_slice(); NUM_VARS], 1.0);
         let (n, pts) = (mesh.n_octants() as u64, BLOCK_VOLUME as u64);
@@ -900,7 +884,7 @@ mod tests {
         let launches = 3u64;
         let before = gpu.counters();
         for _ in 0..launches {
-            gpu.o2p_only(&mesh, Buf::U);
+            gpu.o2p_raw(&mesh, Buf::U);
         }
         let d = gpu.counters().delta_since(&before);
         let prolonging = (0..mesh.n_octants())

@@ -1,12 +1,14 @@
-//! Distributed (multi-rank / multi-GPU) evolution.
+//! Distributed (multi-rank / multi-GPU) evolution, driven by
+//! [`Run::distributed`](crate::run::Run::distributed).
 //!
 //! Octants are partitioned across ranks along the space-filling curve;
 //! each rank evolves its contiguous range, exchanging ghost octant blocks
 //! with neighbor ranks before every RHS evaluation (the `halo_exchange`
-//! of Algorithm 1). The distributed result is bit-identical to the
-//! single-rank run — the per-point arithmetic is unchanged — which the
-//! tests assert; the value of this module for the paper's experiments is
-//! the *metered traffic* feeding the scaling models (Figs. 17/18/20).
+//! of Algorithm 1). Every rank runs the configured RHS through the same
+//! per-octant step as the single-rank backends, so the distributed
+//! result is bit-identical to the single-rank run — which the tests
+//! assert; the value of this module for the paper's experiments is the
+//! *metered traffic* feeding the scaling models (Figs. 17/18/20).
 //!
 //! With [`WorldConfig::overlap`] set, each RK stage runs the
 //! dependency-aware overlapped schedule instead of the blocking one:
@@ -18,18 +20,18 @@
 //! and reductions stay fixed-order, so the overlapped result is
 //! bit-identical to the blocking one (see DESIGN.md §11).
 
+use crate::backend::OctantRhs;
 use crate::checkpoint::{self, CheckpointError, DistManifest, Shard};
-use gw_bssn::rhs::{bssn_rhs_patch, RhsMode, RhsWorkspace};
-use gw_bssn::BssnParams;
+use crate::solver::SolverConfig;
 use gw_comm::world::WorldConfig;
 use gw_comm::{CommError, GhostPlan, GhostSchedule, RankCtx, RecvHandle, World};
 use gw_expr::symbols::NUM_VARS;
 use gw_mesh::{Field, Mesh};
 use gw_obs::{Counter, Phase, Probe};
-use gw_octree::partition::{partition_uniform, PartitionMap};
+use gw_octree::partition::partition_uniform;
 use gw_par::{ThreadPool, UnsafeSlice};
 use gw_stencil::interp::{ProlongWorkspace, Prolongation, FINE_SIDE};
-use gw_stencil::patch::{PatchLayout, BLOCK_VOLUME, PADDING, PATCH_VOLUME, POINTS_PER_SIDE};
+use gw_stencil::patch::{BLOCK_VOLUME, PATCH_VOLUME};
 use std::time::Instant;
 
 /// Result of a distributed run.
@@ -53,63 +55,6 @@ pub fn dependencies(mesh: &Mesh) -> Vec<(u32, u32)> {
     deps
 }
 
-/// Exchange ghost blocks of `field` according to the plan (all 24 vars of
-/// each listed octant). Receives are checked: a dropped, truncated, or
-/// corrupted message surfaces as a [`CommError`] — the field is never
-/// partially updated from a bad payload.
-fn exchange(
-    ctx: &RankCtx<'_>,
-    plan: &GhostPlan,
-    part: &PartitionMap,
-    field: &mut Field,
-    tag: u64,
-) -> Result<(), CommError> {
-    let r = ctx.rank();
-    let n = field.n_oct;
-    // Post sends.
-    for q in 0..ctx.size() {
-        let list = &plan.sends[r][q];
-        if list.is_empty() {
-            continue;
-        }
-        let mut payload = Vec::with_capacity(list.len() * NUM_VARS * BLOCK_VOLUME);
-        for &oct in list {
-            for v in 0..NUM_VARS {
-                payload.extend_from_slice(field.block(v, oct as usize));
-            }
-        }
-        ctx.send(q, tag, &payload);
-    }
-    // Receive.
-    for q in 0..ctx.size() {
-        let list = &plan.recvs[r][q];
-        if list.is_empty() {
-            continue;
-        }
-        let payload = ctx.try_recv(q, tag)?;
-        // The CRC header guarantees integrity; this checks the *schedule*
-        // agreed with the sender.
-        if payload.len() != list.len() * NUM_VARS * BLOCK_VOLUME {
-            return Err(CommError::Truncated {
-                src: q,
-                dst: r,
-                tag,
-                declared: list.len() * NUM_VARS * BLOCK_VOLUME * 8,
-                got: payload.len() * 8,
-            });
-        }
-        let mut off = 0;
-        for &oct in list {
-            for v in 0..NUM_VARS {
-                field.block_mut(v, oct as usize).copy_from_slice(&payload[off..off + BLOCK_VOLUME]);
-                off += BLOCK_VOLUME;
-            }
-        }
-    }
-    let _ = (n, part);
-    Ok(())
-}
-
 /// Message tag for RK stage `stage` (0..=3) or the interface sync
 /// (`STAGE_SYNC`) of global step `step`. Qualifying tags with the stage
 /// *and* step keeps a retransmitted straggler from one stage from ever
@@ -124,9 +69,9 @@ fn stage_tag(step: usize, stage: u64) -> u64 {
 /// The post-update interface-sync exchange slot of [`stage_tag`].
 const STAGE_SYNC: u64 = 4;
 
-/// Post the sends and nonblocking receives of one halo exchange and
-/// return the in-flight receive handles (one per neighbor, in rank
-/// order). The payload schedule is exactly [`exchange`]'s.
+/// Post the sends and nonblocking receives of one halo exchange (all 24
+/// vars of each octant the plan lists) and return the in-flight receive
+/// handles, one per neighbor in rank order.
 fn post_exchange<'c>(
     ctx: &'c RankCtx<'c>,
     plan: &GhostPlan,
@@ -151,8 +96,9 @@ fn post_exchange<'c>(
 }
 
 /// Complete the receives posted by [`post_exchange`], copying ghost
-/// blocks into `field` with the same checks as the blocking
-/// [`exchange`] — a bad payload never partially updates the field.
+/// blocks into `field`. Receives are checked: a dropped, truncated, or
+/// corrupted message surfaces as a [`CommError`] — the field is never
+/// partially updated from a bad payload.
 fn finish_exchange(
     ctx: &RankCtx<'_>,
     plan: &GhostPlan,
@@ -185,8 +131,21 @@ fn finish_exchange(
     Ok(())
 }
 
-/// Static dependency classification of one rank's owned octants,
-/// built once per partition for the overlapped exchange path.
+/// The blocking halo exchange: the overlapped path's messages, tags and
+/// checks, with nothing computed while they travel.
+fn exchange(
+    ctx: &RankCtx<'_>,
+    plan: &GhostPlan,
+    field: &mut Field,
+    tag: u64,
+) -> Result<(), CommError> {
+    let handles = post_exchange(ctx, plan, field, tag);
+    finish_exchange(ctx, plan, field, tag, handles)
+}
+
+/// Static dependency classification of one rank's owned octants, built
+/// once per partition. Both schedules run from it; only the overlapped
+/// one computes between posting and completing an exchange.
 struct OwnedSplit {
     /// Owned octants whose gather stencil reads only owned blocks —
     /// safe to evaluate while ghosts are still in flight.
@@ -257,8 +216,7 @@ fn boundary_regions_of(mesh: &Mesh) -> Vec<Vec<[i8; 3]>> {
     regions_of
 }
 
-/// Apply the listed `mesh.syncs` entries (same copy as the blocking
-/// path's sync loop: sync-outer, variable-inner).
+/// Apply the listed `mesh.syncs` entries (sync-outer, variable-inner).
 fn apply_syncs(mesh: &Mesh, indices: &[usize], u: &mut Field) {
     for &i in indices {
         let c = &mesh.syncs[i];
@@ -272,9 +230,9 @@ fn apply_syncs(mesh: &Mesh, indices: &[usize], u: &mut Field) {
 /// Reusable per-evaluator scratch: the 24 padded patches of the octant
 /// being evaluated and the gather/prolongation buffers. Cached once per
 /// evaluating thread (the rank thread, or each pool worker on the
-/// overlapped path) next to its [`RhsWorkspace`] and counted in
-/// [`Counter::WorkspaceAllocs`] — the hot loop itself never allocates,
-/// and no rank holds a full-mesh patch field.
+/// overlapped path) and counted in [`Counter::WorkspaceAllocs`] — the
+/// hot loop itself never allocates, and no rank holds a full-mesh patch
+/// field.
 struct EvalScratch {
     patches: Vec<f64>,
     prolong: Prolongation,
@@ -293,29 +251,34 @@ impl EvalScratch {
     }
 }
 
+/// What evaluating an octant reads besides its input field: shared by
+/// every evaluating thread of a rank.
+#[derive(Clone, Copy)]
+struct Evaluator<'a> {
+    mesh: &'a Mesh,
+    rhs: &'a OctantRhs,
+    /// Physical-boundary padding regions per octant.
+    regions_of: &'a [Vec<[i8; 3]>],
+    probe: &'a Probe,
+}
+
 /// Octant→patch + RHS for one owned octant `e`, into its output blocks.
 /// Stages the octant's 24 padded patches in `scratch`: interior copy,
 /// gather (each `Prolong` op prolongs only the box it reads, see
 /// [`gw_mesh::scatter::prolong_box`]) and physical-boundary padding
-/// (clamp-copy from the interior, as in `fill_boundary_padding`); then
-/// the fused RHS and the Sommerfeld fix. Every patch value and output
-/// depends only on `input`, so any evaluation order is bit-identical.
-#[allow(clippy::too_many_arguments)]
+/// ([`gw_mesh::scatter::for_each_boundary_point`]); then the
+/// configured RHS step. Every patch value and output depends only on
+/// `input`, so any evaluation order is bit-identical.
 fn eval_octant(
-    mesh: &Mesh,
+    ev: Evaluator<'_>,
     e: usize,
-    regions: &[[i8; 3]],
-    params: &BssnParams,
     input: &Field,
-    mask: u8,
-    ws: &mut RhsWorkspace,
     scratch: &mut EvalScratch,
     out_blocks: &mut [&mut [f64]; NUM_VARS],
 ) {
-    let p = PatchLayout::padded();
     for (v, patch) in scratch.patches.chunks_exact_mut(PATCH_VOLUME).enumerate() {
         gw_stencil::patch::octant_to_patch_interior(input.block(v, e), patch);
-        for op in mesh.gather_of(e) {
+        for op in ev.mesh.gather_of(e) {
             let src = input.block(v, op.src as usize);
             if op.kind == gw_mesh::ScatterKind::Prolong {
                 let b = gw_mesh::scatter::prolong_box(op);
@@ -329,98 +292,60 @@ fn eval_octant(
             }
             gw_mesh::scatter::apply_scatter_op(op, src, &scratch.fine13, patch);
         }
-        for delta in regions {
-            for pz in gw_mesh::scatter::region_range(delta[2]) {
-                for py in gw_mesh::scatter::region_range(delta[1]) {
-                    for px in gw_mesh::scatter::region_range(delta[0]) {
-                        let cx = px.clamp(PADDING, PADDING + POINTS_PER_SIDE - 1);
-                        let cy = py.clamp(PADDING, PADDING + POINTS_PER_SIDE - 1);
-                        let cz = pz.clamp(PADDING, PADDING + POINTS_PER_SIDE - 1);
-                        patch[p.idx(px, py, pz)] = patch[p.idx(cx, cy, cz)];
-                    }
-                }
-            }
+        for &delta in &ev.regions_of[e] {
+            gw_mesh::scatter::for_each_boundary_point(delta, |dst, src| patch[dst] = patch[src]);
         }
     }
     let patch_refs: [&[f64]; NUM_VARS] =
         std::array::from_fn(|v| &scratch.patches[v * PATCH_VOLUME..(v + 1) * PATCH_VOLUME]);
-    let h = mesh.octants[e].h;
-    bssn_rhs_patch(&patch_refs, h, params, &RhsMode::Pointwise, ws, out_blocks);
-    crate::boundary::sommerfeld_fix(mesh, e, mask, &patch_refs, ws, out_blocks);
+    ev.rhs.eval(ev.mesh, e, &patch_refs, out_blocks, ev.probe);
 }
 
 /// [`eval_octant`] over an explicit octant list: serially on the calling
-/// rank thread (`pool = None`, the blocking schedule) or on the shared
-/// worker pool (the overlapped one). Each octant's output blocks have
-/// exactly one writer, so the result is bit-identical at any thread
-/// count and any list order.
-#[allow(clippy::too_many_arguments)]
-fn eval_rhs_list(
-    mesh: &Mesh,
-    list: &[usize],
-    regions_of: &[Vec<[i8; 3]>],
-    params: &BssnParams,
-    input: &Field,
-    masks: &[u8],
-    out: &mut Field,
-    pool: Option<&ThreadPool>,
-    probe: &Probe,
-) {
+/// rank thread (the blocking schedule) or on the shared worker pool (the
+/// overlapped one). Each octant's output blocks have exactly one writer,
+/// so the result is bit-identical at any thread count and any list
+/// order.
+fn eval_rhs_list(st: &StageCtx<'_, '_>, list: &[usize], input: &Field, out: &mut Field) {
     thread_local! {
-        static WS: std::cell::RefCell<Option<(RhsWorkspace, EvalScratch)>> =
+        static SCRATCH: std::cell::RefCell<Option<EvalScratch>> =
             const { std::cell::RefCell::new(None) };
     }
-    let n_oct = mesh.n_octants();
+    let ev = st.ev;
+    let n_oct = ev.mesh.n_octants();
     let out_s = UnsafeSlice::new(out.as_mut_slice());
     let eval = |i: usize| {
         let e = list[i];
-        WS.with(|cell| {
+        SCRATCH.with(|cell| {
             let mut borrow = cell.borrow_mut();
-            let (ws, scratch) = borrow.get_or_insert_with(|| {
-                probe.add(Counter::WorkspaceAllocs, 1);
-                (RhsWorkspace::new(1), EvalScratch::new())
+            let scratch = borrow.get_or_insert_with(|| {
+                ev.probe.add(Counter::WorkspaceAllocs, 1);
+                EvalScratch::new()
             });
             // Safety: octants in `list` are distinct, so output blocks
             // (v, e) belong to this iteration alone.
             let mut out_blocks: [&mut [f64]; NUM_VARS] = std::array::from_fn(|v| unsafe {
                 out_s.slice_mut((v * n_oct + e) * BLOCK_VOLUME, BLOCK_VOLUME)
             });
-            eval_octant(
-                mesh,
-                e,
-                &regions_of[e],
-                params,
-                input,
-                masks[e],
-                ws,
-                scratch,
-                &mut out_blocks,
-            );
+            eval_octant(ev, e, input, scratch, &mut out_blocks);
         });
     };
-    match pool {
+    match st.pool {
         Some(pool) => pool.for_each(list.len(), eval),
         None => (0..list.len()).for_each(eval),
     }
 }
 
 /// Everything one RK stage needs besides the fields: the exchange plan,
-/// the evaluator state, and (when overlapping) the static classification
-/// plus the worker pool.
+/// the evaluator state, the static classification, and (when
+/// overlapping) the worker pool.
 struct StageCtx<'a, 'w> {
     ctx: &'a RankCtx<'w>,
     plan: &'a GhostPlan,
-    part: &'a PartitionMap,
-    mesh: &'a Mesh,
-    params: &'a BssnParams,
-    owned: std::ops::Range<usize>,
-    /// The owned octants in SFC order (the blocking schedule's list).
-    owned_list: &'a [usize],
-    regions_of: &'a [Vec<[i8; 3]>],
-    masks: &'a [u8],
-    probe: &'a Probe,
-    /// `Some` = overlapped path (classification + pool).
-    ov: Option<(&'a OwnedSplit, &'a ThreadPool)>,
+    ev: Evaluator<'a>,
+    split: &'a OwnedSplit,
+    /// `Some` = overlapped schedule, evaluating on this pool.
+    pool: Option<&'a ThreadPool>,
 }
 
 /// One halo exchange + RHS evaluation: `out = rhs(field)` over the owned
@@ -433,34 +358,33 @@ fn rhs_stage(
     out: &mut Field,
     tag: u64,
 ) -> Result<(), CommError> {
-    let eval = |list: &[usize], field: &Field, out: &mut Field, pool: Option<&ThreadPool>| {
-        eval_rhs_list(st.mesh, list, st.regions_of, st.params, field, st.masks, out, pool, st.probe)
-    };
-    match st.ov {
+    let split = st.split;
+    match st.pool {
         None => {
             {
-                let _s = st.probe.start(Phase::Halo);
-                exchange(st.ctx, st.plan, st.part, field, tag)?;
+                let _s = st.ev.probe.start(Phase::Halo);
+                exchange(st.ctx, st.plan, field, tag)?;
             }
-            let _s = st.probe.start(Phase::Rhs);
-            eval(st.owned_list, field, out, None);
+            let _s = st.ev.probe.start(Phase::Rhs);
+            eval_rhs_list(st, &split.interior, field, out);
+            eval_rhs_list(st, &split.boundary, field, out);
         }
-        Some((split, pool)) => {
+        Some(_) => {
             let handles = post_exchange(st.ctx, st.plan, field, tag);
             let t0 = Instant::now();
             {
-                let _s = st.probe.start(Phase::HaloOverlap);
-                eval(&split.interior, field, out, Some(pool));
+                let _s = st.ev.probe.start(Phase::HaloOverlap);
+                eval_rhs_list(st, &split.interior, field, out);
             }
-            st.probe.add(Counter::HaloOverlapUs, t0.elapsed().as_micros() as u64);
+            st.ev.probe.add(Counter::HaloOverlapUs, t0.elapsed().as_micros() as u64);
             let t1 = Instant::now();
             {
-                let _s = st.probe.start(Phase::Halo);
+                let _s = st.ev.probe.start(Phase::Halo);
                 finish_exchange(st.ctx, st.plan, field, tag, handles)?;
             }
-            st.probe.add(Counter::HaloWaitUs, t1.elapsed().as_micros() as u64);
-            let _s = st.probe.start(Phase::Rhs);
-            eval(&split.boundary, field, out, Some(pool));
+            st.ev.probe.add(Counter::HaloWaitUs, t1.elapsed().as_micros() as u64);
+            let _s = st.ev.probe.start(Phase::Rhs);
+            eval_rhs_list(st, &split.boundary, field, out);
         }
     }
     Ok(())
@@ -468,83 +392,38 @@ fn rhs_stage(
 
 /// The post-update ghost refresh + interface sync closing each step.
 /// Overlapped: owned-source syncs run while the ghosts travel, the rest
-/// after arrival (or, if the sync set is order-sensitive, everything
-/// runs post-arrival in original order — see [`classify_owned`]).
+/// after arrival. Blocking: both lists run after arrival. Either way the
+/// result is that of the owned syncs in `mesh.syncs` order: the split is
+/// only taken when the owned sync set is order-free (see
+/// [`classify_owned`]).
 fn sync_stage(st: &StageCtx<'_, '_>, u: &mut Field, tag: u64) -> Result<(), CommError> {
-    match st.ov {
+    let split = st.split;
+    match st.pool {
         None => {
             {
-                let _s = st.probe.start(Phase::Halo);
-                exchange(st.ctx, st.plan, st.part, u, tag)?;
+                let _s = st.ev.probe.start(Phase::Halo);
+                exchange(st.ctx, st.plan, u, tag)?;
             }
-            for c in &st.mesh.syncs {
-                if !st.owned.contains(&(c.dst_oct as usize)) {
-                    continue;
-                }
-                for v in 0..NUM_VARS {
-                    let sv = u.block(v, c.src_oct as usize)[c.src_idx as usize];
-                    u.block_mut(v, c.dst_oct as usize)[c.dst_idx as usize] = sv;
-                }
-            }
+            apply_syncs(st.ev.mesh, &split.syncs_local, u);
         }
-        Some((split, _)) => {
+        Some(_) => {
             let handles = post_exchange(st.ctx, st.plan, u, tag);
             let t0 = Instant::now();
             {
-                let _s = st.probe.start(Phase::HaloOverlap);
-                apply_syncs(st.mesh, &split.syncs_local, u);
+                let _s = st.ev.probe.start(Phase::HaloOverlap);
+                apply_syncs(st.ev.mesh, &split.syncs_local, u);
             }
-            st.probe.add(Counter::HaloOverlapUs, t0.elapsed().as_micros() as u64);
+            st.ev.probe.add(Counter::HaloOverlapUs, t0.elapsed().as_micros() as u64);
             let t1 = Instant::now();
             {
-                let _s = st.probe.start(Phase::Halo);
+                let _s = st.ev.probe.start(Phase::Halo);
                 finish_exchange(st.ctx, st.plan, u, tag, handles)?;
             }
-            st.probe.add(Counter::HaloWaitUs, t1.elapsed().as_micros() as u64);
-            apply_syncs(st.mesh, &split.syncs_ghost, u);
+            st.ev.probe.add(Counter::HaloWaitUs, t1.elapsed().as_micros() as u64);
         }
     }
+    apply_syncs(st.ev.mesh, &split.syncs_ghost, u);
     Ok(())
-}
-
-/// Evolve `steps` RK4 steps on `ranks` simulated ranks. Panics on a
-/// communication fault — with the default fault-free [`WorldConfig`] the
-/// in-process channels cannot fault, so this is the convenient entry
-/// point; supervised runs use [`evolve_distributed_cfg`].
-pub fn evolve_distributed(
-    mesh: &Mesh,
-    u0: &Field,
-    ranks: usize,
-    steps: usize,
-    courant: f64,
-    params: BssnParams,
-) -> DistributedResult {
-    evolve_distributed_cfg(mesh, u0, ranks, steps, courant, params, WorldConfig::default())
-        .unwrap_or_else(|e| panic!("fault-free distributed run failed: {e}"))
-}
-
-/// [`evolve_distributed`] with an explicit world configuration (fault
-/// plan, receive timeout). Bounded message faults are recovered
-/// transparently by the reliable delivery layer; any rank detecting an
-/// *unrecoverable* fault aborts its evolution and the most telling error
-/// is returned (a dead rank is named in preference to the secondary
-/// timeouts it causes) — a faulted exchange never silently yields a
-/// wrong state.
-pub fn evolve_distributed_cfg(
-    mesh: &Mesh,
-    u0: &Field,
-    ranks: usize,
-    steps: usize,
-    courant: f64,
-    params: BssnParams,
-    world_cfg: WorldConfig,
-) -> Result<DistributedResult, CommError> {
-    let h_min = mesh.octants.iter().map(|o| o.h).fold(f64::INFINITY, f64::min);
-    let opts = SpanOpts { start_step: 0, steps, dt: courant * h_min, snapshot: None, kill: None };
-    evolve_span(mesh, u0, ranks, params, world_cfg, opts).map_err(|f| match f {
-        SpanFailure::Comm(e) => e,
-        SpanFailure::Ckpt(e) => unreachable!("no checkpointing configured: {e}"),
-    })
 }
 
 /// Why one span of distributed evolution stopped.
@@ -583,7 +462,7 @@ fn evolve_span(
     mesh: &Mesh,
     u0: &Field,
     ranks: usize,
-    params: BssnParams,
+    rhs: &OctantRhs,
     world_cfg: WorldConfig,
     opts: SpanOpts,
 ) -> Result<DistributedResult, SpanFailure> {
@@ -591,7 +470,6 @@ fn evolve_span(
     let part = partition_uniform(n, ranks);
     let plan = GhostSchedule::build(&part, dependencies(mesh).into_iter());
     let dt = opts.dt;
-    let masks = crate::boundary::boundary_face_masks(mesh);
     let regions_of = boundary_regions_of(mesh);
     // One probe handle per rank thread: spans carry per-thread ids, and
     // counters are shared atomics, so concurrent ranks attribute cleanly.
@@ -599,7 +477,6 @@ fn evolve_span(
 
     let plan_ref = &plan;
     let part_ref = &part;
-    let masks_ref = &masks;
     let regions_ref = &regions_of;
     let start_step = opts.start_step;
     let steps = opts.steps;
@@ -615,23 +492,16 @@ fn evolve_span(
         let mut stage = Field::zeros(NUM_VARS, n);
         let mut k = Field::zeros(NUM_VARS, n);
         let mut acc = Field::zeros(NUM_VARS, n);
-        let owned_list: Vec<usize> = owned.clone().collect();
-        // Overlapped path: static interior/boundary classification plus
-        // the shared worker pool, both built once per span.
-        let split = overlap.then(|| classify_owned(mesh, &owned));
+        // The static interior/boundary classification, and the shared
+        // worker pool of the overlapped schedule, built once per span.
+        let split = classify_owned(mesh, &owned);
         let pool = overlap.then(|| ThreadPool::shared(overlap_threads));
         let st = StageCtx {
             ctx: &ctx,
             plan: plan_ref,
-            part: part_ref,
-            mesh,
-            params: &params,
-            owned: owned.clone(),
-            owned_list: &owned_list,
-            regions_of: regions_ref,
-            masks: masks_ref,
-            probe: &probe,
-            ov: split.as_ref().zip(pool.as_deref()),
+            ev: Evaluator { mesh, rhs, regions_of: regions_ref, probe: &probe },
+            split: &split,
+            pool: pool.as_deref(),
         };
         let mut work = 0u64;
         for s in start_step..steps {
@@ -862,49 +732,32 @@ impl std::fmt::Display for DistributedError {
 
 impl std::error::Error for DistributedError {}
 
-/// Resilient distributed evolution: run `steps` RK4 steps with
-/// coordinated snapshots; on an unrecoverable exchange or a dead peer,
-/// roll every survivor back to the last committed manifest, replay under
-/// the [`crate::supervisor::DegradationPolicy`], and escalate to a typed
-/// abort once `max_retries` world restarts are spent. The returned
-/// traffic/work meters describe the final (successful) attempt.
-#[allow(clippy::too_many_arguments)]
-#[deprecated(
-    since = "0.4.0",
-    note = "use crate::run::Run::new(config).distributed(ranks).execute() — one builder \
-            covers plain, supervised, and distributed evolution"
-)]
-pub fn evolve_distributed_resilient(
+/// Distributed evolution of `u0` over `steps` RK4 steps on `ranks`
+/// simulated ranks, running `config`'s RHS with coordinated snapshots.
+/// Bounded message faults are recovered transparently by the reliable
+/// delivery layer. On an unrecoverable exchange or a dead peer, every
+/// survivor rolls back to the last committed manifest and replays under
+/// the [`crate::supervisor::DegradationPolicy`]; once `max_retries`
+/// world restarts are spent the run aborts with the most telling error
+/// (a dead rank is named in preference to the secondary timeouts it
+/// causes) — a faulted exchange never silently yields a wrong state.
+/// The returned traffic/work meters describe the final (successful)
+/// attempt.
+pub(crate) fn evolve(
     mesh: &Mesh,
     u0: &Field,
     ranks: usize,
     steps: usize,
-    courant: f64,
-    params: BssnParams,
-    world_cfg: WorldConfig,
-    resilience: &ResilienceConfig,
-) -> Result<ResilientOutcome, DistributedError> {
-    evolve_distributed_resilient_impl(
-        mesh, u0, ranks, steps, courant, params, world_cfg, resilience,
-    )
-}
-
-/// Non-deprecated implementation behind [`evolve_distributed_resilient`];
-/// the [`crate::run::Run`] builder drives this directly.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn evolve_distributed_resilient_impl(
-    mesh: &Mesh,
-    u0: &Field,
-    ranks: usize,
-    steps: usize,
-    courant: f64,
-    params: BssnParams,
+    config: &SolverConfig,
     world_cfg: WorldConfig,
     resilience: &ResilienceConfig,
 ) -> Result<ResilientOutcome, DistributedError> {
     let h_min = mesh.octants.iter().map(|o| o.h).fold(f64::INFINITY, f64::min);
-    let mut courant_now = courant;
-    let mut params_now = params;
+    let mut courant = config.courant;
+    let mut params = config.params;
+    // The tape bakes in `params`, so it is rebuilt only when a degraded
+    // retry changes them.
+    let mut rhs = OctantRhs::new(mesh, params, config.rhs_kind);
     let mut retries = 0u32;
     let mut kill = resilience.kill_once;
     let mut start_step = 0usize;
@@ -914,14 +767,14 @@ pub(crate) fn evolve_distributed_resilient_impl(
         let opts = SpanOpts {
             start_step,
             steps,
-            dt: courant_now * h_min,
+            dt: courant * h_min,
             snapshot: resilience
                 .checkpoint_dir
                 .clone()
                 .map(|d| (d, resilience.checkpoint_every.max(1))),
             kill,
         };
-        let failure = match evolve_span(mesh, &state, ranks, params_now, world_cfg.clone(), opts) {
+        let failure = match evolve_span(mesh, &state, ranks, &rhs, world_cfg.clone(), opts) {
             Ok(result) => return Ok(ResilientOutcome { result, retries, events }),
             Err(f) => f,
         };
@@ -955,21 +808,23 @@ pub(crate) fn evolve_distributed_resilient_impl(
             }
         }
         events.push(RecoveryEvent::RolledBack { to_step: start_step as u64, cause });
-        courant_now *= resilience.degradation.courant_factor;
-        params_now.ko_sigma += resilience.degradation.ko_boost;
+        courant *= resilience.degradation.courant_factor;
+        if resilience.degradation.ko_boost != 0.0 {
+            params.ko_sigma += resilience.degradation.ko_boost;
+            rhs = OctantRhs::new(mesh, params, config.rhs_kind);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    // The deprecated `evolve_distributed_resilient` wrapper is exercised
-    // on purpose: it must keep delegating faithfully until removal.
-    #![allow(deprecated)]
     use super::*;
     use crate::backend::{Backend, CpuBackend, RhsKind};
     use crate::rk4::Rk4;
+    use crate::run::Run;
     use crate::solver::fill_field;
     use gw_bssn::init::LinearWaveData;
+    use gw_bssn::BssnParams;
     use gw_octree::{balance_octree, complete_octree, BalanceMode, Domain, MortonKey};
 
     fn adaptive_mesh() -> Mesh {
@@ -980,14 +835,33 @@ mod tests {
         Mesh::build(Domain::centered_cube(8.0), &t)
     }
 
+    fn wave() -> impl Fn([f64; 3], &mut [f64]) {
+        let wave = LinearWaveData::new(1e-3, 0.0, 2.0, 1.0);
+        move |p, out: &mut [f64]| wave.evaluate(p, out)
+    }
+
+    /// The linear wave on the adaptive mesh, `steps` steps on `ranks`.
+    fn dist(ranks: usize, steps: usize) -> Run<'static> {
+        Run::new(SolverConfig::default())
+            .mesh(adaptive_mesh())
+            .init(wave())
+            .steps(steps)
+            .distributed(ranks)
+    }
+
+    fn outcome(run: Run<'_>) -> ResilientOutcome {
+        run.execute()
+            .unwrap_or_else(|e| panic!("distributed run failed: {e}"))
+            .distributed
+            .expect("distributed runs report an outcome")
+    }
+
     #[test]
     fn distributed_matches_single_rank_bitwise() {
         let mesh = adaptive_mesh();
-        let wave = LinearWaveData::new(1e-3, 0.0, 2.0, 1.0);
-        let u0 = fill_field(&mesh, &|p, out: &mut [f64]| wave.evaluate(p, out));
-        let params = BssnParams::default();
+        let u0 = fill_field(&mesh, &wave());
         // Reference: single-rank backend.
-        let mut backend = CpuBackend::new(&mesh, params, RhsKind::Pointwise);
+        let mut backend = CpuBackend::new(&mesh, BssnParams::default(), RhsKind::Pointwise);
         backend.upload(&u0);
         let rk = Rk4::default();
         let dt = rk.timestep(&mesh);
@@ -997,7 +871,7 @@ mod tests {
         }
         let reference = backend.download();
         for ranks in [1usize, 2, 3] {
-            let result = evolve_distributed(&mesh, &u0, ranks, steps, 0.25, params);
+            let result = outcome(dist(ranks, steps)).result;
             for (a, b) in reference.as_slice().iter().zip(result.state.as_slice().iter()) {
                 assert_eq!(a, b, "rank count {ranks} must not change results");
             }
@@ -1010,21 +884,16 @@ mod tests {
 
     #[test]
     fn overlapped_exchange_is_bit_identical_and_counts_messages_identically() {
-        let mesh = adaptive_mesh();
-        let wave = LinearWaveData::new(1e-3, 0.0, 2.0, 1.0);
-        let u0 = fill_field(&mesh, &|p, out: &mut [f64]| wave.evaluate(p, out));
-        let params = BssnParams::default();
         let steps = 2;
         for ranks in [1usize, 2, 3] {
-            let blocking = evolve_distributed(&mesh, &u0, ranks, steps, 0.25, params);
+            let blocking = outcome(dist(ranks, steps)).result;
             for threads in [1usize, 4] {
                 let cfg = WorldConfig {
                     overlap: true,
                     overlap_threads: threads,
                     ..WorldConfig::default()
                 };
-                let overlapped =
-                    evolve_distributed_cfg(&mesh, &u0, ranks, steps, 0.25, params, cfg).unwrap();
+                let overlapped = outcome(dist(ranks, steps).world(cfg)).result;
                 assert_eq!(
                     blocking.state.as_slice(),
                     overlapped.state.as_slice(),
@@ -1067,47 +936,16 @@ mod tests {
 
     #[test]
     fn traffic_scales_with_cut_surface() {
-        let mesh = adaptive_mesh();
-        let wave = LinearWaveData::new(1e-3, 0.0, 2.0, 1.0);
-        let u0 = fill_field(&mesh, &|p, out: &mut [f64]| wave.evaluate(p, out));
-        let params = BssnParams::default();
-        let t2 = evolve_distributed(&mesh, &u0, 2, 1, 0.25, params);
-        let t4 = evolve_distributed(&mesh, &u0, 4, 1, 0.25, params);
+        let t2 = outcome(dist(2, 1)).result;
+        let t4 = outcome(dist(4, 1)).result;
         let bytes2: u64 = t2.traffic.iter().map(|t| t.1).sum();
         let bytes4: u64 = t4.traffic.iter().map(|t| t.1).sum();
         assert!(bytes4 > bytes2, "more ranks ⇒ more cut surface ({bytes2} vs {bytes4})");
     }
 
     #[test]
-    fn resilient_fault_free_run_is_the_plain_run() {
-        let mesh = adaptive_mesh();
-        let wave = LinearWaveData::new(1e-3, 0.0, 2.0, 1.0);
-        let u0 = fill_field(&mesh, &|p, out: &mut [f64]| wave.evaluate(p, out));
-        let params = BssnParams::default();
-        let reference = evolve_distributed(&mesh, &u0, 2, 2, 0.25, params);
-        let out = evolve_distributed_resilient(
-            &mesh,
-            &u0,
-            2,
-            2,
-            0.25,
-            params,
-            WorldConfig::default(),
-            &ResilienceConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(out.retries, 0);
-        assert!(out.events.is_empty());
-        assert_eq!(out.result.state.as_slice(), reference.state.as_slice());
-    }
-
-    #[test]
     fn killed_rank_rolls_back_to_manifest_and_replays_bit_exact() {
-        let mesh = adaptive_mesh();
-        let wave = LinearWaveData::new(1e-3, 0.0, 2.0, 1.0);
-        let u0 = fill_field(&mesh, &|p, out: &mut [f64]| wave.evaluate(p, out));
-        let params = BssnParams::default();
-        let reference = evolve_distributed(&mesh, &u0, 3, 3, 0.25, params);
+        let reference = outcome(dist(3, 3)).result;
         let dir = std::env::temp_dir().join("gw_amr_multi_resilient_test");
         let dir = dir.to_str().unwrap().to_string();
         let _ = std::fs::remove_dir_all(&dir);
@@ -1126,8 +964,7 @@ mod tests {
             heartbeat_interval: std::time::Duration::from_millis(5),
             ..WorldConfig::default()
         };
-        let out =
-            evolve_distributed_resilient(&mesh, &u0, 3, 3, 0.25, params, cfg, &resilience).unwrap();
+        let out = outcome(dist(3, 3).world(cfg).resilience(resilience));
         assert_eq!(out.retries, 1, "one rollback must suffice");
         match &out.events[..] {
             [RecoveryEvent::RolledBack { to_step: 2, cause }] => {
@@ -1143,11 +980,8 @@ mod tests {
 
     #[test]
     fn work_counts_match_partition() {
-        let mesh = adaptive_mesh();
-        let wave = LinearWaveData::new(1e-3, 0.0, 2.0, 1.0);
-        let u0 = fill_field(&mesh, &|p, out: &mut [f64]| wave.evaluate(p, out));
-        let r = evolve_distributed(&mesh, &u0, 3, 2, 0.25, BssnParams::default());
+        let r = outcome(dist(3, 2)).result;
         let total: u64 = r.work.iter().sum();
-        assert_eq!(total, 2 * mesh.n_octants() as u64);
+        assert_eq!(total, 2 * adaptive_mesh().n_octants() as u64);
     }
 }

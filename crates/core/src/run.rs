@@ -1,10 +1,7 @@
-//! One entry point for every kind of evolution run.
-//!
-//! Historically the crate grew three parallel drivers — plain
-//! [`GwSolver::evolve_steps`](crate::solver::GwSolver::evolve_steps),
-//! the supervised loop in [`crate::supervisor::Supervisor`], and the
-//! distributed-resilient driver in [`crate::multi`] — each with its own
-//! calling convention. The [`Run`] builder unifies them:
+//! One entry point for every kind of evolution run: plain, supervised
+//! (health checks + rollback, [`crate::supervisor`]) and distributed
+//! (multi-rank with coordinated snapshots, [`crate::multi`]). [`Run`] is
+//! the only way to evolve:
 //!
 //! ```no_run
 //! use gw_core::run::Run;
@@ -22,8 +19,9 @@
 //! ```
 //!
 //! Adding `.distributed(ranks)` switches to the multi-rank resilient
-//! driver (coordinated snapshots, rollback/replay); the old entry points
-//! remain as thin deprecated wrappers over the same implementations.
+//! driver (coordinated snapshots, rollback/replay). Its ranks run the
+//! whole [`SolverConfig`], including `rhs_kind`; `use_gpu` is not
+//! supported there yet and is rejected as [`ConfigError::DistributedGpu`].
 //!
 //! Profiling (`.profile(path)`) enables a [`Probe`], threads it through
 //! the solver/backend/device (or the comm world in distributed mode),
@@ -249,14 +247,22 @@ impl<'a> Run<'a> {
         let mut summary = None;
         if let Some(sup_cfg) = self.supervised.clone() {
             let mut sup = Supervisor::new(sup_cfg);
-            let s = sup.run_inner(&mut solver, self.steps as u64).inspect_err(|_| {
+            let s = sup.run(&mut solver, self.steps as u64).inspect_err(|_| {
                 // Even a failed run leaves a useful trace behind.
                 self.try_write_trace(&probe, &[]);
             })?;
             retries = s.retries;
             summary = Some(s);
         } else {
-            solver.evolve_steps_inner(self.steps, self.refiner);
+            let fr = solver.config.regrid_every;
+            for i in 0..self.steps {
+                if let Some(r) = self.refiner {
+                    if fr > 0 && i > 0 && i % fr == 0 {
+                        solver.regrid(r);
+                    }
+                }
+                solver.step();
+            }
         }
         let extra = device_sections(&solver);
         let trace_path = self.write_trace(&probe, &extra)?;
@@ -274,6 +280,9 @@ impl<'a> Run<'a> {
 
     fn execute_distributed(mut self, ranks: usize, probe: Probe) -> Result<RunOutcome, RunError> {
         self.config.validate()?;
+        if self.config.use_gpu {
+            return Err(ConfigError::DistributedGpu(ranks).into());
+        }
         let mesh = self.mesh.take().ok_or(RunError::Incomplete("mesh"))?;
         let init = self.init.take().ok_or(RunError::Incomplete("init"))?;
         let u0 = fill_field(&mesh, &init);
@@ -295,19 +304,10 @@ impl<'a> Run<'a> {
             },
             None => ResilienceConfig::default(),
         });
-        let out = multi::evolve_distributed_resilient_impl(
-            &mesh,
-            &u0,
-            ranks,
-            self.steps,
-            self.config.courant,
-            self.config.params,
-            world,
-            &resilience,
-        )
-        .inspect_err(|_| {
-            self.try_write_trace(&probe, &[]);
-        })?;
+        let out = multi::evolve(&mesh, &u0, ranks, self.steps, &self.config, world, &resilience)
+            .inspect_err(|_| {
+                self.try_write_trace(&probe, &[]);
+            })?;
         let h_min = mesh.octants.iter().map(|o| o.h).fold(f64::INFINITY, f64::min);
         let trace_path = self.write_trace(&probe, &[])?;
         Ok(RunOutcome {
@@ -410,21 +410,6 @@ mod tests {
     }
 
     #[test]
-    fn plain_run_matches_deprecated_evolve_steps() {
-        let mut reference = GwSolver::new(SolverConfig::default(), small_mesh(), wave_init());
-        reference.evolve_steps_inner(3, None);
-        let out = Run::new(SolverConfig::default())
-            .mesh(small_mesh())
-            .init(wave_init())
-            .steps(3)
-            .execute()
-            .unwrap();
-        assert_eq!(out.steps_completed, 3);
-        assert_eq!(out.retries, 0);
-        assert_eq!(out.state.as_slice(), reference.state().as_slice());
-    }
-
-    #[test]
     fn supervised_run_reports_summary() {
         let out = Run::new(SolverConfig::default())
             .mesh(small_mesh())
@@ -458,56 +443,47 @@ mod tests {
     }
 
     #[test]
-    fn distributed_builder_matches_deprecated_wrapper_wiring() {
+    fn distributed_builder_derives_wiring_from_config() {
         // Config-drift guard: threads (the overlap pool size), the
         // supervised checkpoint keys, and the obs probe must reach the
-        // unified driver exactly as the deprecated entry point passed
-        // them — spelled out by hand here on the wrapper side.
-        let dir = std::env::temp_dir().join("gw_run_parity_test");
+        // distributed run exactly as the explicit `.world(..)` and
+        // `.resilience(..)` spelled out by hand here.
+        let dir = std::env::temp_dir().join("gw_run_wiring_test");
         let _ = std::fs::remove_dir_all(&dir);
-        let ckpt = dir.join("ckpt").to_str().unwrap().to_string();
+        let ckpt = |name: &str| dir.join(name).to_str().unwrap().to_string();
         let sup = SupervisorConfig {
-            checkpoint_dir: Some(ckpt.clone()),
+            checkpoint_dir: Some(ckpt("derived")),
             checkpoint_every: 1,
             ..SupervisorConfig::default()
         };
-        let resilience = ResilienceConfig {
-            checkpoint_dir: sup.checkpoint_dir.clone(),
-            checkpoint_every: sup.checkpoint_every.max(1),
-            degradation: sup.degradation,
-            kill_once: None,
-        };
         let config = SolverConfig { threads: 2, ..SolverConfig::default() };
-        let mesh = small_mesh();
-        let wave = wave_init();
-        let u0 = fill_field(&mesh, &wave);
-        let world = WorldConfig {
-            overlap: true,
-            overlap_threads: config.threads, // what the builder must derive
-            ..WorldConfig::default()
-        };
-        #[allow(deprecated)]
-        let reference = crate::multi::evolve_distributed_resilient(
-            &mesh,
-            &u0,
-            2,
-            2,
-            config.courant,
-            config.params,
-            world,
-            &resilience,
-        )
-        .unwrap();
-        let _ = std::fs::remove_dir_all(&dir);
+        let explicit = Run::new(config)
+            .mesh(small_mesh())
+            .init(wave_init())
+            .steps(2)
+            .distributed(2)
+            .world(WorldConfig {
+                overlap: true,
+                overlap_threads: config.threads, // what the builder must derive
+                ..WorldConfig::default()
+            })
+            .resilience(ResilienceConfig {
+                checkpoint_dir: Some(ckpt("explicit")),
+                checkpoint_every: sup.checkpoint_every.max(1),
+                degradation: sup.degradation,
+                kill_once: None,
+            })
+            .execute()
+            .unwrap();
         let probe = Probe::enabled();
         let path = dir.join("trace.json").to_str().unwrap().to_string();
-        let out = Run::new(config)
+        let derived = Run::new(config)
             .mesh(small_mesh())
             .init(wave_init())
             .steps(2)
             .distributed(2)
             // overlap_threads left 0: the builder must fill it from
-            // config.threads, matching the hand wiring above.
+            // config.threads, matching the explicit wiring above.
             .world(WorldConfig { overlap: true, ..WorldConfig::default() })
             .supervised(sup)
             .probe(probe.clone())
@@ -515,17 +491,38 @@ mod tests {
             .execute()
             .unwrap();
         assert_eq!(
-            out.state.as_slice(),
-            reference.result.state.as_slice(),
-            "builder and deprecated wrapper must drive the evolution identically"
+            derived.state.as_slice(),
+            explicit.state.as_slice(),
+            "derived and explicit wiring must drive the evolution identically"
         );
-        assert_eq!(out.retries, reference.retries);
+        assert_eq!(derived.retries, explicit.retries);
+        // The supervised checkpoint keys became coordinated snapshots.
+        let manifest = |name: &str| {
+            let snap = crate::checkpoint::latest_snapshot(&ckpt(name))
+                .expect("snapshot root readable")
+                .unwrap_or_else(|| panic!("{name} run committed no snapshot"));
+            crate::checkpoint::load_distributed(&snap).expect("manifest loads").manifest
+        };
+        let (d, e) = (manifest("derived"), manifest("explicit"));
+        assert_eq!(d.steps_taken, 2);
+        assert_eq!(d.shard_crcs, e.shard_crcs);
         if probe.is_enabled() {
             let text = std::fs::read_to_string(&path).unwrap();
             let stats = gw_obs::json::validate_trace(&text).expect("builder trace is schema-valid");
             assert!(stats.overlap_ratio() > 0.0, "overlapped run must meter hidden halo time");
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn use_gpu_on_a_distributed_run_is_a_config_error() {
+        let config = SolverConfig { use_gpu: true, ..SolverConfig::default() };
+        let out = Run::new(config).mesh(small_mesh()).init(wave_init()).steps(1).distributed(2);
+        match out.execute() {
+            Err(RunError::Config(ConfigError::DistributedGpu(2))) => {}
+            Err(other) => panic!("expected Config(DistributedGpu(2)), got {other:?}"),
+            Ok(_) => panic!("a gpu-sim distributed run cannot be honoured yet"),
+        }
     }
 
     #[test]

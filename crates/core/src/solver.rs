@@ -29,6 +29,9 @@ pub enum ConfigError {
     Eta(f64),
     /// Worker-thread request above the pool's hard cap.
     Threads(usize),
+    /// `use_gpu` on a distributed run over this many ranks: ranks evolve
+    /// on the host, so the device cannot be honoured there yet.
+    DistributedGpu(usize),
 }
 
 impl std::fmt::Display for ConfigError {
@@ -51,6 +54,11 @@ impl std::fmt::Display for ConfigError {
             ConfigError::Threads(v) => {
                 write!(f, "threads must be <= {} (got {v}); use 0 for auto", gw_par::MAX_THREADS)
             }
+            ConfigError::DistributedGpu(ranks) => write!(
+                f,
+                "use_gpu is not supported on a distributed run ({ranks} ranks): ranks evolve \
+                 on the CPU backend; set use_gpu to false"
+            ),
         }
     }
 }
@@ -238,30 +246,6 @@ impl GwSolver {
         }
     }
 
-    /// Take `n` steps with regridding every `config.regrid_every` steps.
-    #[deprecated(
-        since = "0.4.0",
-        note = "use crate::run::Run::new(config).steps(n).execute() — one builder covers \
-                plain, supervised, and distributed evolution"
-    )]
-    pub fn evolve_steps(&mut self, n: usize, refiner: Option<&dyn Refiner>) {
-        self.evolve_steps_inner(n, refiner);
-    }
-
-    /// Non-deprecated implementation behind [`GwSolver::evolve_steps`];
-    /// the [`crate::run::Run`] builder drives this directly.
-    pub(crate) fn evolve_steps_inner(&mut self, n: usize, refiner: Option<&dyn Refiner>) {
-        for i in 0..n {
-            if let Some(r) = refiner {
-                let fr = self.config.regrid_every;
-                if fr > 0 && i > 0 && i % fr == 0 {
-                    self.regrid(r);
-                }
-            }
-            self.step();
-        }
-    }
-
     /// Host-side re-discretization: build a new grid, transfer state,
     /// rebuild the backend (the only synchronous host↔device data
     /// movement, as in Algorithm 1).
@@ -273,9 +257,16 @@ impl GwSolver {
             return; // grid unchanged
         }
         let u = self.backend.download();
-        let new_mesh = Mesh::build(self.mesh.domain, &new_leaves);
+        self.move_to_grid(&u, &new_leaves);
+    }
+
+    /// Rebuild onto the grid `leaves`: build the mesh, transfer the
+    /// state `u`, rebuild the backend (probe re-attached) and upload,
+    /// then count the regrid.
+    fn move_to_grid(&mut self, u: &Field, leaves: &[MortonKey]) {
+        let new_mesh = Mesh::build(self.mesh.domain, leaves);
         let new_u =
-            transfer_state(&self.mesh, &u, &new_mesh).unwrap_or_else(|e| panic!("regrid: {e}"));
+            transfer_state(&self.mesh, u, &new_mesh).unwrap_or_else(|e| panic!("regrid: {e}"));
         self.mesh = new_mesh;
         self.backend = make_backend(&self.config, &self.mesh);
         self.backend.set_probe(self.probe.clone());
@@ -317,15 +308,7 @@ impl GwSolver {
         if new_leaves == old_keys {
             return;
         }
-        let new_mesh = Mesh::build(self.mesh.domain, &new_leaves);
-        let new_u =
-            transfer_state(&self.mesh, &u, &new_mesh).unwrap_or_else(|e| panic!("regrid: {e}"));
-        self.mesh = new_mesh;
-        self.backend = make_backend(&self.config, &self.mesh);
-        self.backend.set_probe(self.probe.clone());
-        self.backend.upload(&new_u);
-        self.regrids += 1;
-        self.probe.add(Counter::Regrids, 1);
+        self.move_to_grid(&u, &new_leaves);
     }
 
     /// Max Hamiltonian-constraint residual over a sample of points
@@ -617,7 +600,9 @@ mod tests {
             out[gw_expr::symbols::var::gt(2, 2)] = 1.0;
         });
         let dt = solver.dt();
-        solver.evolve_steps_inner(3, None);
+        for _ in 0..3 {
+            solver.step();
+        }
         assert_eq!(solver.steps_taken, 3);
         assert!((solver.time - 3.0 * dt).abs() < 1e-14);
     }

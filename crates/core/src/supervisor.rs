@@ -286,8 +286,8 @@ pub struct RunSummary {
 /// use it to corrupt the state on a deterministic schedule.
 pub type FaultHook<'a> = Box<dyn FnMut(&mut GwSolver, u64, u32) + 'a>;
 
-/// The supervisor itself. Construct, optionally install a fault hook,
-/// then [`Supervisor::run`].
+/// The supervisor itself, driven by [`crate::run::Run::supervised`]
+/// (the crate's tests also drive it directly, with a fault hook).
 pub struct Supervisor<'a> {
     pub config: SupervisorConfig,
     monitor: HealthMonitor,
@@ -308,25 +308,11 @@ impl<'a> Supervisor<'a> {
     }
 
     /// Evolve `solver` until `steps_taken == target_steps` under
-    /// supervision. On success the solver holds the final state; on
+    /// supervision (what [`crate::run::Run::supervised`] drives). On
+    /// success the solver holds the final state; on
     /// [`SupervisorError::RetriesExhausted`] it holds the last rollback
     /// point.
-    #[deprecated(
-        since = "0.4.0",
-        note = "use crate::run::Run::new(config).supervised(policy).execute() — one builder \
-                covers plain, supervised, and distributed evolution"
-    )]
-    pub fn run(
-        &mut self,
-        solver: &mut GwSolver,
-        target_steps: u64,
-    ) -> Result<RunSummary, SupervisorError> {
-        self.run_inner(solver, target_steps)
-    }
-
-    /// Non-deprecated implementation behind [`Supervisor::run`]; the
-    /// [`crate::run::Run`] builder drives this directly.
-    pub(crate) fn run_inner(
+    pub(crate) fn run(
         &mut self,
         solver: &mut GwSolver,
         target_steps: u64,
@@ -447,9 +433,6 @@ impl<'a> Supervisor<'a> {
 
 #[cfg(test)]
 mod tests {
-    // The deprecated `Supervisor::run` wrapper is exercised on purpose:
-    // it must keep delegating faithfully until removal.
-    #![allow(deprecated)]
     use super::*;
     use crate::solver::SolverConfig;
     use gw_bssn::init::LinearWaveData;

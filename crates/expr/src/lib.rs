@@ -18,7 +18,7 @@
 //!   symbolically: Lie derivatives, Christoffel symbols, Ricci tensor,
 //!   covariant second derivatives of the lapse, trace-free projection,
 //!   Gamma-driver gauge.
-//! * [`schedule`] — the three evaluation-order strategies compared in
+//! * [`schedule`](mod@schedule) — the three evaluation-order strategies compared in
 //!   Table II / Fig. 11: `CseTopo` (SymPyGR baseline), `BinaryReduce`
 //!   (Algorithm 3: line-graph topological traversal minimizing temporary
 //!   live ranges), `StagedCse` (evaluate each equation as soon as its

@@ -4,7 +4,7 @@
 //! writes garbage, a stream dies. The supervisor layer in `gw-core`
 //! exists to detect and recover from exactly these, and this module is
 //! the harness that manufactures them on demand: seeded, reproducible
-//! corruption of [`DeviceBuffer`] contents and forced [`Stream`]
+//! corruption of [`DeviceBuffer`] contents and forced [`Stream`](crate::stream::Stream)
 //! failures.
 //!
 //! Everything here is an *explicit* test hook — nothing consults a fault

@@ -38,6 +38,6 @@ pub use field::{Field, PatchField};
 pub use grid::{Mesh, MeshError, ScatterKind, ScatterOp};
 pub use o2n::O2NMap;
 pub use scatter::{
-    fill_patches_scatter, fill_patches_scatter_par, patches_to_octants, patches_to_octants_par,
-    sync_interfaces, sync_interfaces_par,
+    fill_patches_scatter, fill_patches_scatter_par, patches_to_octants, sync_interfaces,
+    sync_interfaces_par,
 };

@@ -264,27 +264,6 @@ pub fn patches_to_octants(mesh: &Mesh, patches: &PatchField, field: &mut Field) 
     }
 }
 
-/// Octant-parallel [`patches_to_octants`]: octant blocks are disjoint per
-/// `(var, octant)`, so each task owns its output blocks outright.
-pub fn patches_to_octants_par(
-    mesh: &Mesh,
-    patches: &PatchField,
-    field: &mut Field,
-    pool: &ThreadPool,
-) {
-    use gw_stencil::patch::BLOCK_VOLUME;
-    let dof = field.dof;
-    let n_oct = field.n_oct;
-    let out = UnsafeSlice::new(field.as_mut_slice());
-    pool.for_each(mesh.n_octants(), |e| {
-        for var in 0..dof {
-            // Safety: block (var, e) is written by task e alone.
-            let block = unsafe { out.slice_mut((var * n_oct + e) * BLOCK_VOLUME, BLOCK_VOLUME) };
-            gw_stencil::patch::patch_interior_to_octant(patches.patch(var, e), block);
-        }
-    });
-}
-
 /// Fine→coarse interface synchronization: overwrite coarse points that
 /// coincide with fine points using the fine (authoritative) values.
 pub fn sync_interfaces(mesh: &Mesh, field: &mut Field) {
@@ -323,43 +302,34 @@ pub fn sync_interfaces_par(mesh: &Mesh, field: &mut Field, pool: &ThreadPool) {
     });
 }
 
-/// Fill domain-boundary padding regions by 6th-order polynomial
-/// extrapolation along each outward axis (sufficient for the far-field
-/// boundaries, which the solver additionally treats with Sommerfeld
-/// conditions on the RHS).
-pub fn fill_boundary_padding(mesh: &Mesh, patches: &mut PatchField, dof: usize) {
-    fill_boundary_padding_range(mesh, patches, dof, 0..mesh.n_octants());
+/// Enumerate the `(dst_idx, src_idx)` point pairs of one
+/// physical-boundary padding region `delta`: each padded-patch point of
+/// the region and the interior point nearest to it, which it copies
+/// (constant extrapolation; the physical boundary is in the wave zone
+/// where fields are smooth and the Sommerfeld RHS dominates). Every
+/// source lies in the patch interior, which no region writes, so regions
+/// can be filled in any order. Like [`for_each_scatter_point`], this one
+/// walk backs every boundary-fill kernel.
+#[inline]
+pub fn for_each_boundary_point(delta: [i8; 3], mut visit: impl FnMut(usize, usize)) {
+    let p = PatchLayout::padded();
+    let clamp = |t: usize| t.clamp(PADDING, PADDING + POINTS_PER_SIDE - 1);
+    for pz in region_range(delta[2]) {
+        for py in region_range(delta[1]) {
+            for px in region_range(delta[0]) {
+                visit(p.idx(px, py, pz), p.idx(clamp(px), clamp(py), clamp(pz)));
+            }
+        }
+    }
 }
 
-/// [`fill_boundary_padding`] restricted to octants in `range` (used by
-/// the distributed driver, which only owns a contiguous SFC range).
-pub fn fill_boundary_padding_range(
-    mesh: &Mesh,
-    patches: &mut PatchField,
-    dof: usize,
-    range: std::ops::Range<usize>,
-) {
-    let p = PatchLayout::padded();
+/// Fill the domain-boundary padding regions of every patch by
+/// [`for_each_boundary_point`]'s clamp-copy.
+pub fn fill_boundary_padding(mesh: &Mesh, patches: &mut PatchField, dof: usize) {
     for var in 0..dof {
         for &(oct, delta) in &mesh.boundary_regions {
-            if !range.contains(&(oct as usize)) {
-                continue;
-            }
             let patch = patches.patch_mut(var, oct as usize);
-            for pz in region_range(delta[2]) {
-                for py in region_range(delta[1]) {
-                    for px in region_range(delta[0]) {
-                        // Clamp to the nearest interior point (constant
-                        // extrapolation; the physical boundary is in the
-                        // wave zone where fields are smooth and the
-                        // Sommerfeld RHS dominates).
-                        let cx = px.clamp(PADDING, PADDING + POINTS_PER_SIDE - 1);
-                        let cy = py.clamp(PADDING, PADDING + POINTS_PER_SIDE - 1);
-                        let cz = pz.clamp(PADDING, PADDING + POINTS_PER_SIDE - 1);
-                        patch[p.idx(px, py, pz)] = patch[p.idx(cx, cy, cz)];
-                    }
-                }
-            }
+            for_each_boundary_point(delta, |dst, src| patch[dst] = patch[src]);
         }
     }
 }
@@ -379,24 +349,16 @@ pub fn fill_boundary_padding_par(
     let out = UnsafeSlice::new(patches.as_mut_slice());
     pool.for_each(regions.len(), |ri| {
         let (oct, delta) = regions[ri];
-        let p = PatchLayout::padded();
         for var in 0..dof {
             let base = (var * n_oct + oct as usize) * PATCH_VOLUME;
-            for pz in region_range(delta[2]) {
-                for py in region_range(delta[1]) {
-                    for px in region_range(delta[0]) {
-                        let cx = px.clamp(PADDING, PADDING + POINTS_PER_SIDE - 1);
-                        let cy = py.clamp(PADDING, PADDING + POINTS_PER_SIDE - 1);
-                        let cz = pz.clamp(PADDING, PADDING + POINTS_PER_SIDE - 1);
-                        // Safety: reads hit the (never-written) interior;
-                        // each padding point belongs to exactly one region.
-                        unsafe {
-                            let v = out.read(base + p.idx(cx, cy, cz));
-                            out.write(base + p.idx(px, py, pz), v);
-                        }
-                    }
+            for_each_boundary_point(delta, |dst, src| {
+                // Safety: reads hit the (never-written) interior; each
+                // padding point belongs to exactly one region.
+                unsafe {
+                    let v = out.read(base + src);
+                    out.write(base + dst, v);
                 }
-            }
+            });
         }
     });
 }
@@ -617,8 +579,6 @@ mod tests {
         p_ref.fill(f64::NAN);
         let flops_ref = fill_patches_scatter(&mesh, &f, &mut p_ref);
         fill_boundary_padding(&mesh, &mut p_ref, dof);
-        let mut back_ref = Field::zeros(dof, mesh.n_octants());
-        patches_to_octants(&mesh, &p_ref, &mut back_ref);
         let mut sync_ref = f.clone();
         sync_interfaces(&mesh, &mut sync_ref);
         // The parallel kernel prolongs only each source's union box: its
@@ -649,9 +609,6 @@ mod tests {
                 bits(p_ref.as_slice()),
                 "patches differ at {threads} threads"
             );
-            let mut back = Field::zeros(dof, mesh.n_octants());
-            patches_to_octants_par(&mesh, &p, &mut back, &pool);
-            assert_eq!(bits(back.as_slice()), bits(back_ref.as_slice()));
             let mut sync = f.clone();
             sync_interfaces_par(&mesh, &mut sync, &pool);
             assert_eq!(bits(sync.as_slice()), bits(sync_ref.as_slice()));

@@ -5,7 +5,7 @@
 //! (section III-A, Fig. 4). This crate supplies:
 //!
 //! * [`complex`] — a minimal complex type (no external deps).
-//! * [`swsh`] — spin-weighted spherical harmonics `ₛYₗₘ` (general s, l, m
+//! * [`swsh`](mod@swsh) — spin-weighted spherical harmonics `ₛYₗₘ` (general s, l, m
 //!   via the Goldberg sum), validated against closed forms and checked
 //!   orthonormal under quadrature.
 //! * [`lebedev`] — Lebedev quadrature rules on S² (orders 3/5/7 with

@@ -1,9 +1,5 @@
-//! Distributed-evolution integration: multi-rank runs against the
+//! Distributed-evolution integration: multi-rank `Run`s against the
 //! single-rank reference, ghost-plan properties, scaling-model inputs.
-
-// The deprecated wrappers are exercised on purpose: they must keep
-// delegating to the same implementation the `Run` builder drives.
-#![allow(deprecated)]
 
 use gw_bssn::init::LinearWaveData;
 use gw_bssn::BssnParams;
@@ -12,13 +8,15 @@ use gw_comm::{CommFaultPlan, GhostSchedule};
 use gw_core::backend::{Backend, CpuBackend, RhsKind};
 use gw_core::checkpoint::{latest_snapshot, load_distributed};
 use gw_core::multi::{
-    dependencies, evolve_distributed, evolve_distributed_cfg, evolve_distributed_resilient,
-    DistributedError, KillSpec, RecoveryEvent, ResilienceConfig,
+    dependencies, DistributedError, KillSpec, RecoveryEvent, ResilienceConfig, ResilientOutcome,
 };
 use gw_core::rk4::Rk4;
-use gw_core::solver::fill_field;
+use gw_core::solver::{fill_field, SolverConfig};
 use gw_core::supervisor::DegradationPolicy;
+use gw_core::{Run, RunError};
+use gw_expr::schedule::ScheduleStrategy;
 use gw_integration_tests::{adaptive_mesh, uniform_mesh};
+use gw_mesh::Mesh;
 use gw_octree::partition::partition_uniform;
 use gw_octree::Domain;
 use gw_perfmodel::scaling::{project_step, strong_efficiency, Network};
@@ -33,23 +31,86 @@ fn chaos_seeds() -> Vec<u64> {
     }
 }
 
+fn wave_init() -> impl Fn([f64; 3], &mut [f64]) {
+    let wave = LinearWaveData::new(1e-3, 0.0, 2.0, 1.0);
+    move |p, out: &mut [f64]| wave.evaluate(p, out)
+}
+
+/// The linear wave on `mesh`, `steps` RK4 steps over `ranks` ranks.
+fn dist(mesh: Mesh, ranks: usize, steps: usize) -> Run<'static> {
+    Run::new(SolverConfig::default()).mesh(mesh).init(wave_init()).steps(steps).distributed(ranks)
+}
+
+fn outcome(run: Run<'_>) -> ResilientOutcome {
+    run.execute()
+        .unwrap_or_else(|e| panic!("distributed run failed: {e}"))
+        .distributed
+        .expect("distributed runs report an outcome")
+}
+
+/// A retry budget of zero: the first unrecoverable fault ends the run.
+fn no_retries() -> ResilienceConfig {
+    ResilienceConfig {
+        degradation: DegradationPolicy { courant_factor: 1.0, ko_boost: 0.0, max_retries: 0 },
+        ..ResilienceConfig::default()
+    }
+}
+
 #[test]
 fn four_ranks_match_reference_on_uniform_grid() {
     let domain = Domain::centered_cube(8.0);
     let mesh = uniform_mesh(domain, 2);
-    let wave = LinearWaveData::new(1e-3, 0.0, 2.0, 1.0);
-    let u0 = fill_field(&mesh, &|p, out: &mut [f64]| wave.evaluate(p, out));
-    let params = BssnParams::default();
-    let mut backend = CpuBackend::new(&mesh, params, RhsKind::Pointwise);
+    let u0 = fill_field(&mesh, &wave_init());
+    let mut backend = CpuBackend::new(&mesh, BssnParams::default(), RhsKind::Pointwise);
     backend.upload(&u0);
     let rk = Rk4::default();
     let dt = rk.timestep(&mesh);
     rk.step(&mut backend, &mesh, dt);
     let reference = backend.download();
 
-    let result = evolve_distributed(&mesh, &u0, 4, 1, 0.25, params);
+    let result = outcome(dist(mesh, 4, 1)).result;
     for (a, b) in reference.as_slice().iter().zip(result.state.as_slice().iter()) {
         assert_eq!(a, b);
+    }
+}
+
+#[test]
+fn staged_tape_ranks_match_single_rank_bitwise() {
+    // Every rank runs the configured RHS: a staged+CSE tape run on 2 or
+    // 3 ranks, blocking or overlapped, lands on the single-rank CPU
+    // staged run's bits.
+    let domain = Domain::centered_cube(8.0);
+    let staged = SolverConfig {
+        rhs_kind: RhsKind::Generated(ScheduleStrategy::StagedCse),
+        ..SolverConfig::default()
+    };
+    let single = |config: SolverConfig| {
+        Run::new(config).mesh(adaptive_mesh(domain)).init(wave_init()).steps(2).execute().unwrap()
+    };
+    let reference = single(staged);
+    assert_ne!(
+        reference.state.as_slice(),
+        single(SolverConfig::default()).state.as_slice(),
+        "the tape must differ from the pointwise A somewhere, or this test could not tell \
+         which one the ranks ran"
+    );
+    for ranks in [2usize, 3] {
+        for overlap in [false, true] {
+            let world = WorldConfig { overlap, ..WorldConfig::default() };
+            let out = Run::new(staged)
+                .mesh(adaptive_mesh(domain))
+                .init(wave_init())
+                .steps(2)
+                .distributed(ranks)
+                .world(world)
+                .execute()
+                .unwrap();
+            assert_eq!(
+                reference.state.as_slice(),
+                out.state.as_slice(),
+                "{ranks} ranks (overlap {overlap}) must run the staged tape"
+            );
+        }
     }
 }
 
@@ -78,12 +139,9 @@ fn ghost_plan_covers_every_cross_dependency() {
 #[test]
 fn measured_traffic_matches_plan_prediction() {
     let domain = Domain::centered_cube(8.0);
-    let mesh = adaptive_mesh(domain);
-    let wave = LinearWaveData::new(1e-3, 0.0, 2.0, 1.0);
-    let u0 = fill_field(&mesh, &|p, out: &mut [f64]| wave.evaluate(p, out));
     let ranks = 3;
     let steps = 2;
-    let result = evolve_distributed(&mesh, &u0, ranks, steps, 0.25, BssnParams::default());
+    let result = outcome(dist(adaptive_mesh(domain), ranks, steps)).result;
     // 5 exchanges per step, each shipping plan.send_bytes per rank.
     for r in 0..ranks {
         let expect = 5 * steps as u64 * result.plan.send_bytes(r, 24, 343);
@@ -95,15 +153,11 @@ fn measured_traffic_matches_plan_prediction() {
 #[test]
 fn seeded_message_faults_recovered_bit_identical() {
     // Dropped, truncated, and corrupted halo messages at a bounded rate
-    // are *recovered* by the reliable delivery layer: the run completes
-    // and is bit-identical to the fault-free run via retransmission —
-    // under no circumstances a silently wrong state.
+    // are *recovered* by the reliable delivery layer: with no retry
+    // budget the run completes and is bit-identical to the fault-free run via
+    // retransmission — under no circumstances a silently wrong state.
     let domain = Domain::centered_cube(8.0);
-    let mesh = uniform_mesh(domain, 2);
-    let wave = LinearWaveData::new(1e-3, 0.0, 2.0, 1.0);
-    let u0 = fill_field(&mesh, &|p, out: &mut [f64]| wave.evaluate(p, out));
-    let params = BssnParams::default();
-    let reference = evolve_distributed(&mesh, &u0, 3, 2, 0.25, params);
+    let reference = outcome(dist(uniform_mesh(domain, 2), 3, 2)).result;
     for seed in chaos_seeds() {
         for (drop, trunc, corrupt) in [(0.05, 0.0, 0.0), (0.0, 0.05, 0.0), (0.02, 0.02, 0.02)] {
             let cfg = WorldConfig {
@@ -117,11 +171,11 @@ fn seeded_message_faults_recovered_bit_identical() {
                 heartbeat_interval: Duration::from_millis(5),
                 ..WorldConfig::default()
             };
-            let result = evolve_distributed_cfg(&mesh, &u0, 3, 2, 0.25, params, cfg)
-                .unwrap_or_else(|e| {
-                    panic!("seed {seed} ({drop}/{trunc}/{corrupt}): not recovered: {e}")
-                });
-            for (a, b) in reference.state.as_slice().iter().zip(result.state.as_slice().iter()) {
+            let run = dist(uniform_mesh(domain, 2), 3, 2).world(cfg).resilience(no_retries());
+            let out = run.execute().unwrap_or_else(|e| {
+                panic!("seed {seed} ({drop}/{trunc}/{corrupt}): not recovered: {e}")
+            });
+            for (a, b) in reference.state.as_slice().iter().zip(out.state.as_slice().iter()) {
                 assert_eq!(a, b, "seed {seed}: recovery must be bit-identical");
             }
         }
@@ -134,9 +188,6 @@ fn unrecoverable_faults_surface_typed_errors_never_hang() {
     // before the receive deadline cascade — never a hang or a silently
     // wrong state.
     let domain = Domain::centered_cube(8.0);
-    let mesh = uniform_mesh(domain, 2);
-    let wave = LinearWaveData::new(1e-3, 0.0, 2.0, 1.0);
-    let u0 = fill_field(&mesh, &|p, out: &mut [f64]| wave.evaluate(p, out));
     let cfg = WorldConfig {
         faults: Some(CommFaultPlan::new(chaos_seeds()[0]).with_drop_rate(1.0)),
         recv_timeout: Duration::from_secs(2),
@@ -145,10 +196,14 @@ fn unrecoverable_faults_surface_typed_errors_never_hang() {
         heartbeat_interval: Duration::from_millis(5),
         ..WorldConfig::default()
     };
-    let err = evolve_distributed_cfg(&mesh, &u0, 3, 1, 0.25, BssnParams::default(), cfg)
-        .expect_err("total loss cannot be recovered");
-    let rendered = err.to_string();
-    assert!(!rendered.is_empty());
+    let run = dist(uniform_mesh(domain, 2), 3, 1).world(cfg).resilience(no_retries());
+    let err = run.execute().err().expect("total loss cannot be recovered");
+    match &err {
+        RunError::Distributed(DistributedError::RetriesExhausted { attempts: 0, last }) => {
+            assert!(!last.to_string().is_empty());
+        }
+        other => panic!("expected RetriesExhausted after 0 rollbacks, got {other:?}"),
+    }
 }
 
 #[test]
@@ -159,32 +214,16 @@ fn killed_rank_is_named_and_run_aborts_without_checkpoints() {
     // hang (the whole test completes orders of magnitude below the 10 s
     // receive deadline it would burn per exchange if it were hanging).
     let domain = Domain::centered_cube(8.0);
-    let mesh = uniform_mesh(domain, 2);
-    let wave = LinearWaveData::new(1e-3, 0.0, 2.0, 1.0);
-    let u0 = fill_field(&mesh, &|p, out: &mut [f64]| wave.evaluate(p, out));
-    let resilience = ResilienceConfig {
-        checkpoint_dir: None,
-        checkpoint_every: 1,
-        degradation: DegradationPolicy { courant_factor: 1.0, ko_boost: 0.0, max_retries: 0 },
-        kill_once: Some(KillSpec { rank: 2, at_step: 1 }),
-    };
+    let resilience =
+        ResilienceConfig { kill_once: Some(KillSpec { rank: 2, at_step: 1 }), ..no_retries() };
     let cfg =
         WorldConfig { heartbeat_interval: Duration::from_millis(5), ..WorldConfig::default() };
     let started = std::time::Instant::now();
-    let err = evolve_distributed_resilient(
-        &mesh,
-        &u0,
-        3,
-        2,
-        0.25,
-        BssnParams::default(),
-        cfg,
-        &resilience,
-    )
-    .expect_err("no retries allowed: the death must abort the run");
+    let run = dist(uniform_mesh(domain, 2), 3, 2).world(cfg).resilience(resilience);
+    let err = run.execute().err().expect("no retries allowed: the death must abort the run");
     assert!(started.elapsed() < Duration::from_secs(8), "detection must not hang");
     match &err {
-        DistributedError::RetriesExhausted { last, .. } => {
+        RunError::Distributed(DistributedError::RetriesExhausted { attempts: 0, last }) => {
             assert_eq!(last.dead_rank(), Some(2), "the dead rank is named: {last}");
         }
         other => panic!("expected RetriesExhausted naming rank 2, got {other:?}"),
@@ -200,11 +239,7 @@ fn chaos_kill_plus_message_faults_recovers_via_manifest() {
     // retransmission recovery and snapshot replay are both bit-exact —
     // finishes bit-identical to the undisturbed run.
     let domain = Domain::centered_cube(8.0);
-    let mesh = uniform_mesh(domain, 2);
-    let wave = LinearWaveData::new(1e-3, 0.0, 2.0, 1.0);
-    let u0 = fill_field(&mesh, &|p, out: &mut [f64]| wave.evaluate(p, out));
-    let params = BssnParams::default();
-    let reference = evolve_distributed(&mesh, &u0, 3, 3, 0.25, params);
+    let reference = outcome(dist(uniform_mesh(domain, 2), 3, 3)).result;
     for seed in chaos_seeds() {
         let dir = std::env::temp_dir().join(format!("gw_amr_chaos_{seed}"));
         let dir = dir.to_str().unwrap().to_string();
@@ -221,8 +256,12 @@ fn chaos_kill_plus_message_faults_recovers_via_manifest() {
             heartbeat_interval: Duration::from_millis(5),
             ..WorldConfig::default()
         };
-        let out = evolve_distributed_resilient(&mesh, &u0, 3, 3, 0.25, params, cfg, &resilience)
-            .unwrap_or_else(|e| panic!("seed {seed}: chaos run must recover: {e}"));
+        let run = dist(uniform_mesh(domain, 2), 3, 3).world(cfg).resilience(resilience);
+        let out = run
+            .execute()
+            .unwrap_or_else(|e| panic!("seed {seed}: chaos run must recover: {e}"))
+            .distributed
+            .expect("distributed runs report an outcome");
         assert_eq!(out.retries, 1, "seed {seed}: one rollback for one death");
         match &out.events[..] {
             [RecoveryEvent::RolledBack { to_step: 2, cause }] => {
@@ -247,11 +286,6 @@ fn overlapped_chaos_matrix_matches_blocking_bitwise() {
     // overlap window must never reorder a reduction or let a retransmitted
     // ghost land in a different slot.
     let domain = Domain::centered_cube(8.0);
-    let mesh = uniform_mesh(domain, 2);
-    let wave = LinearWaveData::new(1e-3, 0.0, 2.0, 1.0);
-    let u0 = fill_field(&mesh, &|p, out: &mut [f64]| wave.evaluate(p, out));
-    let params = BssnParams::default();
-
     let tmp = std::env::temp_dir();
     let ref_dir = tmp.join("gw_amr_overlap_ref").to_str().unwrap().to_string();
     let _ = std::fs::remove_dir_all(&ref_dir);
@@ -261,17 +295,8 @@ fn overlapped_chaos_matrix_matches_blocking_bitwise() {
         degradation: DegradationPolicy { courant_factor: 1.0, ko_boost: 0.0, max_retries: 2 },
         kill_once: None,
     };
-    let reference = evolve_distributed_resilient(
-        &mesh,
-        &u0,
-        3,
-        2,
-        0.25,
-        params,
-        WorldConfig::default(),
-        &resilience_for(&ref_dir),
-    )
-    .expect("fault-free blocking reference");
+    let reference =
+        outcome(dist(uniform_mesh(domain, 2), 3, 2).resilience(resilience_for(&ref_dir)));
     let ref_snap = latest_snapshot(&ref_dir)
         .expect("reference snapshot root readable")
         .expect("reference run committed a snapshot");
@@ -298,19 +323,15 @@ fn overlapped_chaos_matrix_matches_blocking_bitwise() {
                 heartbeat_interval: Duration::from_millis(5),
                 ..WorldConfig::default()
             };
-            let out = evolve_distributed_resilient(
-                &mesh,
-                &u0,
-                3,
-                2,
-                0.25,
-                params,
-                cfg,
-                &resilience_for(&dir),
-            )
-            .unwrap_or_else(|e| {
-                panic!("seed {seed} threads {threads}: overlapped chaos run must recover: {e}")
-            });
+            let run =
+                dist(uniform_mesh(domain, 2), 3, 2).world(cfg).resilience(resilience_for(&dir));
+            let out = run
+                .execute()
+                .unwrap_or_else(|e| {
+                    panic!("seed {seed} threads {threads}: overlapped chaos run must recover: {e}")
+                })
+                .distributed
+                .expect("distributed runs report an outcome");
             for (a, b) in
                 reference.result.state.as_slice().iter().zip(out.result.state.as_slice().iter())
             {
@@ -337,16 +358,12 @@ fn zero_rate_fault_plan_is_bit_identical_to_fault_free() {
     // Installing a plan that never fires must not perturb results: the
     // fault-free path (headers included) is the same arithmetic.
     let domain = Domain::centered_cube(8.0);
-    let mesh = uniform_mesh(domain, 2);
-    let wave = LinearWaveData::new(1e-3, 0.0, 2.0, 1.0);
-    let u0 = fill_field(&mesh, &|p, out: &mut [f64]| wave.evaluate(p, out));
-    let params = BssnParams::default();
-    let reference = evolve_distributed(&mesh, &u0, 3, 2, 0.25, params);
+    let reference = outcome(dist(uniform_mesh(domain, 2), 3, 2)).result;
     let cfg = WorldConfig {
         faults: Some(CommFaultPlan::new(99)), // zero rates
         ..WorldConfig::default()
     };
-    let with_plan = evolve_distributed_cfg(&mesh, &u0, 3, 2, 0.25, params, cfg).unwrap();
+    let with_plan = outcome(dist(uniform_mesh(domain, 2), 3, 2).world(cfg)).result;
     for (a, b) in reference.state.as_slice().iter().zip(with_plan.state.as_slice().iter()) {
         assert_eq!(a, b, "zero-rate plan must not change the evolution");
     }
