@@ -1,9 +1,10 @@
-//! Criterion bench: BSSN RHS per-patch cost — pointwise vs the three
+//! Criterion bench: BSSN RHS per-patch cost — the 210 derivatives alone,
+//! then the whole RHS with the handwritten `A` and with the three
 //! generated tapes (Fig. 11 / Table II microbenchmark).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gw_bssn::rhs::{bssn_rhs_patch, RhsMode, RhsWorkspace};
-use gw_bssn::BssnParams;
+use gw_bssn::{BssnParams, DerivWorkspace};
 use gw_expr::bssn::build_bssn_rhs;
 use gw_expr::schedule::{schedule, ScheduleStrategy};
 use gw_expr::symbols::NUM_VARS;
@@ -39,6 +40,11 @@ fn bench_rhs(c: &mut Criterion) {
     let patches = smooth_patches(h);
     let refs: Vec<&[f64]> = patches.iter().map(|p| p.as_slice()).collect();
     let params = BssnParams::default();
+
+    group.bench_function("derivatives", |b| {
+        let mut ws = DerivWorkspace::new();
+        b.iter(|| ws.compute(&refs, h))
+    });
 
     group.bench_function("pointwise", |b| {
         let mut ws = RhsWorkspace::new(1);

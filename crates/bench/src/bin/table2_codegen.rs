@@ -8,15 +8,19 @@
 //! over a batch of grid points (the working-set/locality effect the
 //! paper attributes to reduced spilling). The host time is given both
 //! per point (`Tape::eval_into`) and lane-batched (`Tape::eval_lanes`
-//! over `gw_bssn::rhs::LANES` points, as the solver runs it).
+//! over `gw_bssn::rhs::LANES` points, as the solver runs it). A last row
+//! times the handwritten `A` the same two ways: `bssn_rhs_point` on `f64`
+//! and on `Lanes<LANES>`.
 
 use gw_bench::table::num;
 use gw_bench::TablePrinter;
 use gw_bssn::rhs::LANES;
+use gw_bssn::{bssn_rhs_point, Lanes};
 use gw_expr::bssn::{build_bssn_rhs, BssnParams};
 use gw_expr::schedule::{schedule, ScheduleStrategy};
-use gw_expr::symbols::NUM_INPUTS;
+use gw_expr::symbols::{NUM_INPUTS, NUM_OUTPUTS};
 use gw_expr::tape::Tape;
+use std::hint::black_box;
 use std::time::Instant;
 
 fn main() {
@@ -117,6 +121,44 @@ fn main() {
             format!("{:.2}x", paper[i].3),
         ]);
     }
+    // The handwritten `A`: no schedule, so no spill model.
+    let params = BssnParams::default();
+    let mut out = vec![0.0; NUM_OUTPUTS];
+    for _ in 0..100 {
+        bssn_rhs_point(&inputs, &mut out, &params);
+    }
+    let t0 = Instant::now();
+    for _ in 0..n_points {
+        bssn_rhs_point(black_box(&inputs), &mut out, &params);
+    }
+    let per_pt = t0.elapsed().as_secs_f64() / n_points as f64 * 1e9;
+    let lane_inputs: Vec<Lanes<LANES>> = inputs.iter().map(|&x| Lanes([x; LANES])).collect();
+    let mut lane_out = vec![Lanes([0.0; LANES]); NUM_OUTPUTS];
+    let batches = n_points / LANES;
+    for _ in 0..100 / LANES + 1 {
+        bssn_rhs_point(&lane_inputs, &mut lane_out, &params);
+    }
+    let t0 = Instant::now();
+    for _ in 0..batches {
+        bssn_rhs_point(black_box(&lane_inputs), &mut lane_out, &params);
+    }
+    let per_lane_pt = t0.elapsed().as_secs_f64() / (batches * LANES) as f64 * 1e9;
+    assert_eq!(
+        lane_out.iter().map(|o| o.0[LANES - 1].to_bits()).collect::<Vec<_>>(),
+        out.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+    );
+    let dash = || "—".to_string();
+    t.row(&[
+        "handwritten A".to_string(),
+        dash(),
+        dash(),
+        dash(),
+        dash(),
+        num(per_pt),
+        num(per_lane_pt),
+        dash(),
+        dash(),
+    ]);
     t.print("Table II — codegen strategies at 56 registers/thread");
     println!(
         "\nPaper spill bytes: SymPyGR 15892/33288, binary-reduce —/22012, staged+CSE 8876/22028.\n\

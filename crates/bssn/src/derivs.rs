@@ -8,7 +8,6 @@
 
 use gw_expr::symbols::{input_d1, input_d2, input_ko, second_deriv_slot, NUM_INPUTS, NUM_VARS};
 use gw_stencil::fd::DerivOps;
-use gw_stencil::ko::ko_deriv_axis;
 use gw_stencil::patch::BLOCK_VOLUME;
 
 /// Number of derivative blocks (the paper's 210).
@@ -19,9 +18,12 @@ pub const NUM_DERIV_BLOCKS: usize = 210;
 /// 210 blocks × 343 points × 8 B ≈ 0.58 MB — the "tremendous memory
 /// pressure" the paper attributes to the RHS (section I).
 pub struct DerivWorkspace {
-    /// `[input_slot - NUM_VARS][point]`, i.e. indexed by the flat input
-    /// index minus the 24 field values.
-    data: Vec<f64>,
+    /// `[input_slot - NUM_VARS]`, i.e. indexed by the flat input index
+    /// minus the 24 field values.
+    data: Vec<[f64; BLOCK_VOLUME]>,
+    /// The stencil weight tables, generated once and rebound to each
+    /// octant's spacing.
+    ops: DerivOps,
 }
 
 impl Default for DerivWorkspace {
@@ -32,31 +34,41 @@ impl Default for DerivWorkspace {
 
 impl DerivWorkspace {
     pub fn new() -> Self {
-        Self { data: vec![0.0; NUM_DERIV_BLOCKS * BLOCK_VOLUME] }
+        Self { data: vec![[0.0; BLOCK_VOLUME]; NUM_DERIV_BLOCKS], ops: DerivOps::new(1.0) }
     }
 
     #[inline]
     fn block_mut(&mut self, input_slot: usize) -> &mut [f64] {
-        let b = input_slot - NUM_VARS;
-        &mut self.data[b * BLOCK_VOLUME..(b + 1) * BLOCK_VOLUME]
+        &mut self.data[input_slot - NUM_VARS]
+    }
+
+    /// The distinct blocks of derivative slots `slots`, all borrowed at once.
+    fn blocks_mut<const K: usize>(&mut self, slots: [usize; K]) -> [&mut [f64]; K] {
+        self.data
+            .get_disjoint_mut(slots.map(|s| s - NUM_VARS))
+            .expect("distinct derivative slots")
+            .map(|b| b.as_mut_slice())
     }
 
     /// The `r^3` block of flat input `input_slot` (a derivative slot).
     #[inline]
     pub fn block(&self, input_slot: usize) -> &[f64] {
-        let b = input_slot - NUM_VARS;
-        &self.data[b * BLOCK_VOLUME..(b + 1) * BLOCK_VOLUME]
+        &self.data[input_slot - NUM_VARS]
     }
 
     #[inline]
     pub fn value(&self, input_slot: usize, point: usize) -> f64 {
-        let b = input_slot - NUM_VARS;
-        self.data[b * BLOCK_VOLUME + point]
+        self.data[input_slot - NUM_VARS][point]
     }
 
     /// Compute all 210 derivative blocks from the 24 padded patches of one
     /// octant. `patches[v]` is variable `v`'s `(r+2k)^3` patch; `h` the
     /// octant grid spacing.
+    ///
+    /// Per variable and axis, one fused row pass
+    /// ([`DerivOps::axis_pass`]) writes the first, pure second (for the 11
+    /// variables that have them) and KO derivatives; the mixed ones
+    /// follow from [`DerivOps::deriv_mixed`].
     ///
     /// Returns the paper's operation-count *model* of the evaluation —
     /// 13 flops/point per 7-point stencil and 97 flops/point per mixed
@@ -67,44 +79,37 @@ impl DerivWorkspace {
     /// the kernels get cheaper.
     pub fn compute(&mut self, patches: &[&[f64]], h: f64) -> u64 {
         assert_eq!(patches.len(), NUM_VARS);
-        let ops = DerivOps::new(h);
-        let inv_h = 1.0 / h;
+        let ops = self.ops.with_spacing(h);
+        const STENCIL: u64 = 13 * BLOCK_VOLUME as u64;
+        const MIXED: u64 = 97 * BLOCK_VOLUME as u64;
         let mut flops = 0u64;
-        // First derivatives: 7-point stencil = 13 flops/point.
-        for v in 0..NUM_VARS {
+        for (v, patch) in patches.iter().enumerate() {
+            let second = second_deriv_slot(v).is_some();
             for axis in 0..3 {
-                ops.deriv(axis, patches[v], self.block_mut(input_d1(v, axis)));
-                flops += 13 * BLOCK_VOLUME as u64;
+                let (d1, ko) = (input_d1(v, axis), input_ko(v, axis));
+                if second {
+                    let [d1, d2, ko] = self.blocks_mut([d1, input_d2(v, axis, axis), ko]);
+                    ops.axis_pass(axis, patch, d1, Some(d2), ko);
+                    flops += 3 * STENCIL;
+                } else {
+                    let [d1, ko] = self.blocks_mut([d1, ko]);
+                    ops.axis_pass(axis, patch, d1, None, ko);
+                    flops += 2 * STENCIL;
+                }
             }
-        }
-        // Second derivatives for the 11 vars: pure 13/pt, mixed 97/pt
-        // (modelled as the unfactorized 49-point product).
-        for v in 0..NUM_VARS {
-            if second_deriv_slot(v).is_none() {
-                continue;
-            }
-            for a in 0..3 {
-                ops.deriv2(a, patches[v], self.block_mut(input_d2(v, a, a)));
-                flops += 13 * BLOCK_VOLUME as u64;
-            }
-            for (a, b) in [(0usize, 1usize), (0, 2), (1, 2)] {
-                ops.deriv_mixed(a, b, patches[v], self.block_mut(input_d2(v, a, b)));
-                flops += 97 * BLOCK_VOLUME as u64;
-            }
-        }
-        // KO derivatives.
-        for v in 0..NUM_VARS {
-            for axis in 0..3 {
-                ko_deriv_axis(axis, inv_h, patches[v], self.block_mut(input_ko(v, axis)));
-                flops += 13 * BLOCK_VOLUME as u64;
+            if second {
+                for (a, b) in [(0usize, 1usize), (0, 2), (1, 2)] {
+                    ops.deriv_mixed(a, b, patch, self.block_mut(input_d2(v, a, b)));
+                    flops += MIXED;
+                }
             }
         }
         flops
     }
 
-    /// Assemble the 234-entry input vector for one grid point.
-    /// `patch_point` maps the block point to its patch index (interior
-    /// offset applied by the caller via the field values slice).
+    /// Assemble the 234-entry input vector of block point `point`: the 24
+    /// field values `fields_at_point` (see [`fields_at`]; any floor is the
+    /// caller's) followed by the point's 210 derivatives.
     pub fn assemble_inputs(
         &self,
         fields_at_point: &[f64; NUM_VARS],

@@ -7,6 +7,8 @@
 //!   in `gw-expr` and cross-validated against it in the tests. The solver
 //!   can run either this or a generated tape; agreement of the two is the
 //!   same check the paper performs between hand code and SymPyGR output.
+//! * [`real`] — the [`Real`] number type the handwritten RHS is generic
+//!   over: `f64` for one point, [`Lanes`] for a structure-of-arrays batch.
 //! * [`derivs`] — the 210-derivative evaluation on a padded patch: 72
 //!   first, 66 second, 72 Kreiss–Oliger derivatives per point, assembled
 //!   into the 234-entry input vector the `A` component consumes.
@@ -28,10 +30,12 @@ pub mod constraints;
 pub mod derivs;
 pub mod init;
 pub mod point;
+pub mod real;
 pub mod rhs;
 pub mod sommerfeld;
 
 pub use derivs::DerivWorkspace;
 pub use gw_expr::bssn::BssnParams;
 pub use point::bssn_rhs_point;
+pub use real::{Lanes, Real};
 pub use rhs::{bssn_rhs_patch, RhsMode};

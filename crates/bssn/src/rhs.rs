@@ -7,12 +7,14 @@
 
 use crate::derivs::{fields_at, DerivWorkspace};
 use crate::point::bssn_rhs_point;
+use crate::real::Lanes;
 use gw_expr::bssn::BssnParams;
 use gw_expr::symbols::{var, NUM_INPUTS, NUM_VARS};
 use gw_expr::tape::Tape;
 use gw_stencil::patch::{PatchLayout, BLOCK_VOLUME, PADDING};
 
-/// Points a generated tape evaluates per batch ([`Tape::eval_lanes`]).
+/// Points the `A` component evaluates per batch: the handwritten `A` on
+/// [`Lanes<LANES>`] and a generated tape through [`Tape::eval_lanes`].
 ///
 /// Chosen by measurement on one 7³ octant of the staged+CSE tape: 16 to
 /// 64 lanes amortize the per-instruction dispatch about equally, fewer
@@ -33,11 +35,10 @@ pub enum RhsMode<'a> {
 /// Scratch buffers for one octant's RHS evaluation.
 pub struct RhsWorkspace {
     pub derivs: DerivWorkspace,
-    /// One point's inputs and outputs: the pointwise `A` and
-    /// [`RhsWorkspace::point_inputs`].
+    /// One point's inputs and outputs, for [`RhsWorkspace::point_inputs`].
     inputs: Vec<f64>,
     point_out: Vec<f64>,
-    /// A batch of [`LANES`] points, structure-of-arrays, for the tape.
+    /// A batch of [`LANES`] points, structure-of-arrays, for either `A`.
     lane_inputs: Vec<[f64; LANES]>,
     lane_out: Vec<[f64; LANES]>,
     lane_slots: Vec<[f64; LANES]>,
@@ -115,37 +116,30 @@ pub fn bssn_rhs_patch(
     assert_eq!(patches.len(), NUM_VARS);
     assert_eq!(out.len(), NUM_VARS);
     let d_flops = ws.derivs.compute(patches, h);
-    match mode {
-        RhsMode::Pointwise => {
-            let o = PatchLayout::octant();
-            for (i, j, k) in o.iter() {
-                let pt = o.idx(i, j, k);
-                let mut fields = fields_at(patches, i, j, k);
-                // Moving-puncture χ floor (regularizes the 1/χ terms near
-                // the punctures; both A paths see the same clamped value).
-                fields[var::CHI] = fields[var::CHI].max(params.chi_floor);
-                ws.derivs.assemble_inputs(&fields, pt, &mut ws.inputs);
-                bssn_rhs_point(&ws.inputs, &mut ws.point_out, params);
-                for v in 0..NUM_VARS {
-                    out[v][pt] = ws.point_out[v];
-                }
-            }
-            // Handwritten op count estimate.
-            (d_flops, 2200 * BLOCK_VOLUME as u64)
-        }
+    let a_flops = match mode {
+        // Handwritten op count estimate.
+        RhsMode::Pointwise => 2200,
         RhsMode::Tape(t) => {
             assert!(ws.max_slots() >= t.n_slots, "workspace built for a smaller tape");
-            for p0 in (0..BLOCK_VOLUME).step_by(LANES) {
-                let n = LANES.min(BLOCK_VOLUME - p0);
-                ws.gather_lanes(patches, params.chi_floor, p0, n);
-                t.eval_lanes(&ws.lane_inputs, &mut ws.lane_out, &mut ws.lane_slots);
-                for v in 0..NUM_VARS {
-                    out[v][p0..p0 + n].copy_from_slice(&ws.lane_out[v][..n]);
-                }
-            }
-            (d_flops, t.flops * BLOCK_VOLUME as u64)
+            t.flops
+        }
+    };
+    for p0 in (0..BLOCK_VOLUME).step_by(LANES) {
+        let n = LANES.min(BLOCK_VOLUME - p0);
+        ws.gather_lanes(patches, params.chi_floor, p0, n);
+        match mode {
+            RhsMode::Pointwise => bssn_rhs_point(
+                Lanes::from_arrays(&ws.lane_inputs),
+                Lanes::from_arrays_mut(&mut ws.lane_out),
+                params,
+            ),
+            RhsMode::Tape(t) => t.eval_lanes(&ws.lane_inputs, &mut ws.lane_out, &mut ws.lane_slots),
+        }
+        for v in 0..NUM_VARS {
+            out[v][p0..p0 + n].copy_from_slice(&ws.lane_out[v][..n]);
         }
     }
+    (d_flops, a_flops * BLOCK_VOLUME as u64)
 }
 
 #[cfg(test)]
@@ -216,11 +210,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn lane_batched_tape_matches_per_point_reference_bitwise() {
-        // χ dips below the floor over part of the octant, so the lane
-        // gather must clamp exactly where the per-point path does.
-        let h = 0.05;
+    /// Smooth patches with χ below the floor over part of the octant, so
+    /// the lane gather must clamp exactly where the per-point path does.
+    fn chi_floored_patches(h: f64, params: &BssnParams) -> Vec<Vec<f64>> {
         let mut patches = smooth_patches(h);
         let p = PatchLayout::padded();
         for (i, j, k) in p.iter() {
@@ -228,14 +220,52 @@ mod tests {
             patches[var::CHI][p.idx(i, j, k)] = 1e-4 * (1.0 + 0.9 * x.sin());
         }
         let refs: Vec<&[f64]> = patches.iter().map(|p| p.as_slice()).collect();
-        let params = BssnParams::default();
-        let o = PatchLayout::octant();
-        let floored = o
+        let floored = PatchLayout::octant()
             .iter()
             .filter(|&(i, j, k)| fields_at(&refs, i, j, k)[var::CHI] < params.chi_floor)
             .count();
         assert!(floored > 0 && floored < BLOCK_VOLUME, "{floored} floored points");
+        patches
+    }
 
+    /// Check `out` against `eval` run on each point's floored, assembled
+    /// 234 inputs, bit for bit.
+    fn assert_matches_per_point(
+        refs: &[&[f64]],
+        params: &BssnParams,
+        ws: &RhsWorkspace,
+        out: &[Vec<f64>],
+        mut eval: impl FnMut(&[f64], &mut [f64]),
+        label: &str,
+    ) {
+        let o = PatchLayout::octant();
+        let mut inputs = vec![0.0; NUM_INPUTS];
+        let mut point = vec![0.0; NUM_VARS];
+        for (i, j, k) in o.iter() {
+            let pt = o.idx(i, j, k);
+            let mut fields = fields_at(refs, i, j, k);
+            fields[var::CHI] = fields[var::CHI].max(params.chi_floor);
+            ws.derivs.assemble_inputs(&fields, pt, &mut inputs);
+            eval(&inputs, &mut point);
+            for v in 0..NUM_VARS {
+                assert!(point[v].is_finite(), "{label} var {v} pt {pt}");
+                assert_eq!(
+                    out[v][pt].to_bits(),
+                    point[v].to_bits(),
+                    "{label} var {v} pt {pt}: {} vs {}",
+                    out[v][pt],
+                    point[v]
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn lane_batched_tape_matches_per_point_reference_bitwise() {
+        let h = 0.05;
+        let params = BssnParams::default();
+        let patches = chi_floored_patches(h, &params);
+        let refs: Vec<&[f64]> = patches.iter().map(|p| p.as_slice()).collect();
         let rhs = build_bssn_rhs(params);
         for strat in ScheduleStrategy::all() {
             let tape = Tape::compile(&rhs.graph, &schedule(&rhs.graph, &rhs.outputs, strat), 56);
@@ -246,29 +276,27 @@ mod tests {
                 bssn_rhs_patch(&refs, h, &params, &RhsMode::Tape(&tape), &mut ws, &mut views);
             assert_eq!(a_flops, tape.flops * BLOCK_VOLUME as u64);
 
-            // Per-point reference: floored fields, assembled inputs, one
-            // single-lane evaluation per point.
-            let mut inputs = vec![0.0; NUM_INPUTS];
-            let mut point = vec![0.0; NUM_VARS];
+            // Per-point reference: one single-lane evaluation per point.
             let mut slots = vec![0.0; tape.n_slots];
-            for (i, j, k) in o.iter() {
-                let pt = o.idx(i, j, k);
-                let mut fields = fields_at(&refs, i, j, k);
-                fields[var::CHI] = fields[var::CHI].max(params.chi_floor);
-                ws.derivs.assemble_inputs(&fields, pt, &mut inputs);
-                tape.eval_into(&inputs, &mut point, &mut slots);
-                for v in 0..NUM_VARS {
-                    assert!(point[v].is_finite(), "{strat:?} var {v} pt {pt}");
-                    assert_eq!(
-                        out[v][pt].to_bits(),
-                        point[v].to_bits(),
-                        "{strat:?} var {v} pt {pt}: {} vs {}",
-                        out[v][pt],
-                        point[v]
-                    );
-                }
-            }
+            let eval = |u: &[f64], o: &mut [f64]| tape.eval_into(u, o, &mut slots);
+            assert_matches_per_point(&refs, &params, &ws, &out, eval, strat.name());
         }
+    }
+
+    #[test]
+    fn pointwise_lanes_match_per_point_bitwise() {
+        let h = 0.05;
+        let params = BssnParams::default();
+        let patches = chi_floored_patches(h, &params);
+        let refs: Vec<&[f64]> = patches.iter().map(|p| p.as_slice()).collect();
+        let mut ws = RhsWorkspace::new(1);
+        let mut out: Vec<Vec<f64>> = vec![vec![0.0; BLOCK_VOLUME]; NUM_VARS];
+        let mut views: Vec<&mut [f64]> = out.iter_mut().map(|v| v.as_mut_slice()).collect();
+        let (_, a_flops) =
+            bssn_rhs_patch(&refs, h, &params, &RhsMode::Pointwise, &mut ws, &mut views);
+        assert_eq!(a_flops, 2200 * BLOCK_VOLUME as u64);
+        let eval = |u: &[f64], o: &mut [f64]| bssn_rhs_point(u, o, &params);
+        assert_matches_per_point(&refs, &params, &ws, &out, eval, "pointwise");
     }
 
     #[test]

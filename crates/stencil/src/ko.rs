@@ -15,6 +15,7 @@
 //! chosen so that `∂_t u += Q u` damps: the symbol of the 6th difference is
 //! `−(2 sin(ξ/2))^6 ≤ 0`, scaled by `+σ/64`.
 
+use crate::fd::stencil_rows;
 use crate::patch::{PatchLayout, PADDING, PATCH_SIDE, POINTS_PER_SIDE};
 
 /// 7-point 6th-difference coefficients (binomial row 6, alternating sign).
@@ -54,29 +55,7 @@ pub fn ko_dissipation(sigma: f64, inv_h: f64, patch: &[f64], out: &mut [f64]) {
 /// output block. Used where the code generator wants the 72 KO derivatives
 /// as separate inputs (section IV-B counts them in the 210).
 pub fn ko_deriv_axis(axis: usize, inv_h: f64, patch: &[f64], out: &mut [f64]) {
-    let p = PatchLayout::padded();
-    let o = PatchLayout::octant();
-    debug_assert_eq!(patch.len(), p.volume());
-    debug_assert_eq!(out.len(), o.volume());
-    let st = match axis {
-        0 => 1isize,
-        1 => PATCH_SIDE as isize,
-        _ => (PATCH_SIDE * PATCH_SIDE) as isize,
-    };
-    let scale = inv_h / KO_NORM;
-    for kz in 0..POINTS_PER_SIDE {
-        for ky in 0..POINTS_PER_SIDE {
-            for kx in 0..POINTS_PER_SIDE {
-                let c = p.idx(kx + PADDING, ky + PADDING, kz + PADDING) as isize;
-                let mut acc = 0.0;
-                for (t, &w) in KO_WEIGHTS.iter().enumerate() {
-                    let off = t as isize - 3;
-                    acc += w * patch[(c + off * st) as usize];
-                }
-                out[o.idx(kx, ky, kz)] = acc * scale;
-            }
-        }
-    }
+    stencil_rows(axis, patch, [(&KO_WEIGHTS, inv_h / KO_NORM)], [out]);
 }
 
 #[cfg(test)]
