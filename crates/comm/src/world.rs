@@ -1,4 +1,5 @@
-//! The rank world: threads + channels + reliable messaging + collectives.
+//! The rank world: threads + channels + reliable messaging + the two
+//! collectives the distributed driver calls (allgatherv and a barrier).
 //!
 //! Every point-to-point message carries a self-describing integrity
 //! header (per-link sequence number, declared payload length, CRC-32).
@@ -15,6 +16,10 @@
 //! barrier poll that view at the heartbeat cadence, and a wait on a dead
 //! peer fails fast with [`CommError::RankDead`] naming the dead rank —
 //! never a hang.
+//!
+//! Every receive — a halo message or a collective's share — is one
+//! [`RankCtx::irecv`], polled by the overlapped exchange or completed
+//! with [`RecvHandle::wait`].
 //!
 //! Fault injection is off by default and the fault-free path adds only
 //! the ack bookkeeping (one outbox push + pop per message) on top of the
@@ -63,10 +68,9 @@ pub enum CommError {
     Timeout { src: usize, dst: usize, tag: u64 },
     /// The sending rank is gone.
     Disconnected { src: usize, dst: usize },
-    /// Payload shorter than the declared length (truncated in flight).
+    /// A delivered halo payload is shorter than the exchange plan
+    /// declares for the link.
     Truncated { src: usize, dst: usize, tag: u64, declared: usize, got: usize },
-    /// Payload length matches but the checksum does not (corrupted).
-    ChecksumMismatch { src: usize, dst: usize, tag: u64 },
     /// A message with an unexpected tag (protocol desync).
     TagMismatch { src: usize, dst: usize, expected: u64, got: u64 },
     /// Every retransmission attempt of one message also faulted.
@@ -79,9 +83,6 @@ pub enum CommError {
     /// Delivered payload whose byte length is not a whole number of
     /// f64 words (malformed frame).
     Malformed { src: usize, dst: usize, tag: u64, len: usize },
-    /// A collective reply carried fewer values than the protocol
-    /// requires.
-    ShortCollective { src: usize, dst: usize, tag: u64, got: usize, need: usize },
 }
 
 impl std::fmt::Display for CommError {
@@ -97,9 +98,6 @@ impl std::fmt::Display for CommError {
                 f,
                 "truncated message {src}->{dst} tag {tag}: declared {declared} bytes, got {got}"
             ),
-            CommError::ChecksumMismatch { src, dst, tag } => {
-                write!(f, "checksum mismatch on message {src}->{dst} tag {tag}")
-            }
             CommError::TagMismatch { src, dst, expected, got } => {
                 write!(f, "tag mismatch on link {src}->{dst}: expected {expected}, got {got}")
             }
@@ -118,10 +116,6 @@ impl std::fmt::Display for CommError {
                 "malformed message {src}->{dst} tag {tag}: {len} bytes is not a whole \
                  number of f64 words"
             ),
-            CommError::ShortCollective { src, dst, tag, got, need } => write!(
-                f,
-                "short collective reply {src}->{dst} tag {tag}: got {got} values, need {need}"
-            ),
         }
     }
 }
@@ -138,18 +132,17 @@ impl CommError {
     }
 }
 
-/// Per-rank communication traffic counters.
+/// Live per-rank traffic counters, snapshotted into [`RankTraffic`].
 #[derive(Debug, Default)]
-pub struct TrafficStats {
-    pub messages_sent: AtomicU64,
-    pub bytes_sent: AtomicU64,
-    /// Retransmission attempts this rank's receives triggered.
-    pub retransmits: AtomicU64,
-    /// Messages this rank acknowledged (delivered reliably).
-    pub acks: AtomicU64,
+struct TrafficStats {
+    messages_sent: AtomicU64,
+    bytes_sent: AtomicU64,
+    retransmits: AtomicU64,
+    acks: AtomicU64,
 }
 
-/// Snapshot of one rank's traffic, including reliability bookkeeping.
+/// One rank's traffic over a [`World::run`], including reliability
+/// bookkeeping.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RankTraffic {
     /// Logical messages sent (retransmits not double-counted).
@@ -165,7 +158,7 @@ pub struct RankTraffic {
 /// Runtime options for a world.
 #[derive(Clone, Debug)]
 pub struct WorldConfig {
-    /// Observability probe: counts delivered halo messages/bytes,
+    /// Observability probe: counts sent messages/bytes,
     /// retransmissions, and heartbeats (disabled by default; counting
     /// never affects delivery or payload bits).
     pub probe: gw_obs::Probe,
@@ -241,8 +234,6 @@ pub struct World {
     /// Liveness view: `alive[r]` is cleared when rank `r`'s body exits
     /// (normal completion, error return, panic, or fail-stop).
     alive: Vec<AtomicBool>,
-    /// Monotonic per-rank heartbeat counters (bumped on comm progress).
-    heartbeats: Vec<AtomicU64>,
     /// Total faults injected so far (bounded by the plan's `max_faults`).
     faults_injected: AtomicUsize,
 }
@@ -274,38 +265,14 @@ impl World {
             outbox: (0..size * size).map(|_| Mutex::new(VecDeque::new())).collect(),
             reorder: (0..size * size).map(|_| Mutex::new(BTreeMap::new())).collect(),
             alive: (0..size).map(|_| AtomicBool::new(true)).collect(),
-            heartbeats: (0..size).map(|_| AtomicU64::new(0)).collect(),
             faults_injected: AtomicUsize::new(0),
         })
     }
 
-    /// Spawn `size` ranks, run `body` on each, return the per-rank results
-    /// in rank order. Panics in a rank propagate.
-    pub fn run<T, F>(size: usize, body: F) -> (Vec<T>, Vec<(u64, u64)>)
-    where
-        T: Send,
-        F: Fn(RankCtx<'_>) -> T + Sync,
-    {
-        Self::run_cfg(size, WorldConfig::default(), body)
-    }
-
-    /// [`World::run`] with explicit options (fault plan, receive timeout).
-    pub fn run_cfg<T, F>(size: usize, config: WorldConfig, body: F) -> (Vec<T>, Vec<(u64, u64)>)
-    where
-        T: Send,
-        F: Fn(RankCtx<'_>) -> T + Sync,
-    {
-        let (outs, traffic) = Self::run_cfg_ext(size, config, body);
-        (outs, traffic.iter().map(|t| (t.messages, t.bytes)).collect())
-    }
-
-    /// [`World::run_cfg`] returning the full per-rank traffic snapshot
-    /// (including retransmit and ack counts).
-    pub fn run_cfg_ext<T, F>(
-        size: usize,
-        config: WorldConfig,
-        body: F,
-    ) -> (Vec<T>, Vec<RankTraffic>)
+    /// Spawn `size` ranks with the given options (fault plan, deadlines),
+    /// run `body` on each, and return the per-rank results and traffic in
+    /// rank order. Panics in a rank propagate.
+    pub fn run<T, F>(size: usize, config: WorldConfig, body: F) -> (Vec<T>, Vec<RankTraffic>)
     where
         T: Send,
         F: Fn(RankCtx<'_>) -> T + Sync,
@@ -428,22 +395,17 @@ impl Drop for AliveGuard<'_> {
     }
 }
 
-/// Collective-operation kinds mixed into the epoch tag.
-const COLL_BASE: u64 = 1 << 63;
-const COLL_ALLREDUCE: u64 = 0;
-const COLL_ALLGATHERV: u64 = 1;
-const COLL_ALLTOALLV: u64 = 2;
-const COLL_BROADCAST: u64 = 3;
+/// The allgatherv tag base: collective tags set the top bit (above every
+/// halo tag) and carry the epoch above a 3-bit operation-kind field, in
+/// which allgatherv is kind 1.
+const COLL_ALLGATHERV: u64 = (1 << 63) | 1;
 
 /// A rank's handle to the world.
 pub struct RankCtx<'a> {
     world: &'a World,
     rank: usize,
-    /// Monotonic collective-epoch counter: every collective call bumps
-    /// it, and the epoch is mixed into the collective's tag so
-    /// back-to-back collectives on the same link can never interleave
-    /// into a protocol desync. SPMD call order keeps it identical on
-    /// every rank.
+    /// Monotonic collective-epoch counter, bumped by every
+    /// [`RankCtx::try_allgatherv`] and mixed into its tag.
     coll_epoch: Cell<u64>,
 }
 
@@ -456,20 +418,9 @@ impl RankCtx<'_> {
         self.world.size
     }
 
+    /// Count one unit of comm progress on the probe.
     fn bump_heartbeat(&self) {
-        self.world.heartbeats[self.rank].fetch_add(1, Ordering::Relaxed);
         self.world.config.probe.add(gw_obs::Counter::Heartbeats, 1);
-    }
-
-    /// Snapshot of the liveness view: `alive[r]` is false once rank `r`'s
-    /// body has exited (normally or not).
-    pub fn liveness(&self) -> Vec<bool> {
-        self.world.alive.iter().map(|a| a.load(Ordering::Acquire)).collect()
-    }
-
-    /// Snapshot of the per-rank heartbeat counters.
-    pub fn heartbeats(&self) -> Vec<u64> {
-        self.world.heartbeats.iter().map(|h| h.load(Ordering::Relaxed)).collect()
     }
 
     /// Fail-stop: mark this rank dead immediately (before its thread has
@@ -479,7 +430,8 @@ impl RankCtx<'_> {
         self.world.alive[self.rank].store(false, Ordering::Release);
     }
 
-    /// Point-to-point send (non-blocking; unbounded buffering). The
+    /// Point-to-point send, never blocking (unbounded buffering), so it
+    /// doubles as the nonblocking post of the overlapped exchange. The
     /// message carries a seq + length + CRC header and is retained in the
     /// per-link outbox until the receiver acknowledges it, so in-flight
     /// faults can be recovered by retransmission.
@@ -564,9 +516,8 @@ impl RankCtx<'_> {
 
     /// One step of the reliable-receive state machine: wait up to `wait`
     /// for an arrival and process it. `Ok(Some(payload))` on delivery,
-    /// `Ok(None)` while the message is still in flight. Both the
-    /// blocking receive and the nonblocking [`RecvHandle`] are thin
-    /// loops over this.
+    /// `Ok(None)` while the message is still in flight. [`RecvHandle`]'s
+    /// `poll` and `wait` are thin loops over this.
     fn recv_poll(
         &self,
         src: usize,
@@ -648,83 +599,16 @@ impl RankCtx<'_> {
         }
     }
 
-    /// Reliable blocking receive of the next in-sequence message from
-    /// `src` with `tag`. Dropped, truncated, or corrupted transmissions
-    /// are recovered by bounded retransmission with exponential backoff;
-    /// only an exhausted budget, a dead peer, a protocol desync, or the
-    /// overall deadline surfaces as a [`CommError`].
-    pub fn try_recv(&self, src: usize, tag: u64) -> Result<Vec<f64>, CommError> {
-        let mut st = self.recv_progress(src);
-        loop {
-            let wait = st.backoff.min(self.world.config.heartbeat_interval);
-            if let Some(v) = self.recv_poll(src, tag, &mut st, wait)? {
-                return Ok(v);
-            }
-        }
-    }
-
-    /// Nonblocking post of a point-to-point message — an explicit alias
-    /// of [`RankCtx::send`] (which never blocks: channels are unbounded
-    /// and reliability is receiver-driven), named for symmetry with
-    /// [`RankCtx::irecv`] in the overlapped exchange path.
-    pub fn isend(&self, dst: usize, tag: u64, payload: &[f64]) {
-        self.send(dst, tag, payload)
-    }
-
-    /// Begin a nonblocking reliable receive from `src` with `tag`,
-    /// returning a pollable [`RecvHandle`]. At most one receive (handle
-    /// or blocking call) may be outstanding per source link at a time —
-    /// the reliable layer tracks one expected sequence number per link.
+    /// Begin a reliable receive of the next in-sequence message from
+    /// `src` with `tag`, returning a [`RecvHandle`] to poll or wait on.
+    /// Dropped, truncated, or corrupted transmissions are recovered by
+    /// bounded retransmission with exponential backoff; only an exhausted
+    /// budget, a dead peer, a protocol desync, or the overall deadline
+    /// surfaces as a [`CommError`]. At most one receive may be
+    /// outstanding per source link at a time — the reliable layer tracks
+    /// one expected sequence number per link.
     pub fn irecv(&self, src: usize, tag: u64) -> RecvHandle<'_, '_> {
         RecvHandle { ctx: self, src, tag, st: self.recv_progress(src), done: false }
-    }
-
-    /// Unreliable (raw) receive of the next message from `src`: verifies
-    /// arrival, length, checksum and tag, and surfaces violations as a
-    /// [`CommError`] without any retransmission — the detection layer the
-    /// reliable path is built on, kept public for fault-injection tests.
-    /// Must not be mixed with [`RankCtx::try_recv`] on the same link.
-    pub fn try_recv_raw(&self, src: usize, tag: u64) -> Result<Vec<f64>, CommError> {
-        let dst = self.rank;
-        let guard = self.world.receivers[dst].lock().unwrap();
-        let got = guard[src].recv_timeout(self.world.config.recv_timeout);
-        drop(guard);
-        let msg = match got {
-            Ok(m) => m,
-            Err(RecvTimeoutError::Timeout) => return Err(CommError::Timeout { src, dst, tag }),
-            Err(RecvTimeoutError::Disconnected) => {
-                return Err(CommError::Disconnected { src, dst })
-            }
-        };
-        if msg.tag != tag {
-            return Err(CommError::TagMismatch { src, dst, expected: tag, got: msg.tag });
-        }
-        if msg.payload.len() as u64 != msg.declared_len {
-            return Err(CommError::Truncated {
-                src,
-                dst,
-                tag,
-                declared: msg.declared_len as usize,
-                got: msg.payload.len(),
-            });
-        }
-        if crc32(&msg.payload) != msg.crc {
-            return Err(CommError::ChecksumMismatch { src, dst, tag });
-        }
-        decode_payload(src, dst, tag, &msg.payload)
-    }
-
-    /// Blocking receive that treats any comm fault as fatal for the rank
-    /// (legacy callers; supervised paths use [`RankCtx::try_recv`]).
-    pub fn recv(&self, src: usize, tag: u64) -> Vec<f64> {
-        self.try_recv(src, tag)
-            .unwrap_or_else(|e| panic!("rank {}: unrecoverable comm fault: {e}", self.rank))
-    }
-
-    /// Barrier across all ranks (panics on timeout or a dead rank; the
-    /// supervised path is [`RankCtx::try_barrier`]).
-    pub fn barrier(&self) {
-        self.try_barrier().unwrap_or_else(|e| panic!("rank {}: barrier failed: {e}", self.rank));
     }
 
     /// Timeout-aware barrier: waits until every rank arrives, polling the
@@ -764,74 +648,15 @@ impl RankCtx<'_> {
         Ok(())
     }
 
-    /// Next collective tag: a fresh epoch per collective call, identical
-    /// across ranks because collectives are SPMD-ordered.
-    fn coll_tag(&self, kind: u64) -> u64 {
+    /// Fault-tolerant allgatherv: every rank's `mine`, in rank order, on
+    /// every rank. Each call takes a fresh collective epoch — identical
+    /// across ranks because collectives are SPMD-ordered — and mixes it
+    /// into the tag, so back-to-back collectives on one link can never
+    /// interleave into a protocol desync. Never hangs on a dead rank.
+    pub fn try_allgatherv(&self, mine: &[f64]) -> Result<Vec<Vec<f64>>, CommError> {
         let e = self.coll_epoch.get();
         self.coll_epoch.set(e + 1);
-        COLL_BASE | (e << 3) | kind
-    }
-
-    /// Sum-allreduce of one value.
-    pub fn allreduce_sum(&self, v: f64) -> f64 {
-        self.try_allreduce_sum(v)
-            .unwrap_or_else(|e| panic!("rank {}: allreduce failed: {e}", self.rank))
-    }
-
-    /// Max-allreduce of one value.
-    pub fn allreduce_max(&self, v: f64) -> f64 {
-        self.try_allreduce_max(v)
-            .unwrap_or_else(|e| panic!("rank {}: allreduce failed: {e}", self.rank))
-    }
-
-    /// Fault-tolerant sum-allreduce: never hangs on a dead rank.
-    pub fn try_allreduce_sum(&self, v: f64) -> Result<f64, CommError> {
-        self.try_allreduce(v, |a, b| a + b)
-    }
-
-    /// Fault-tolerant max-allreduce: never hangs on a dead rank.
-    pub fn try_allreduce_max(&self, v: f64) -> Result<f64, CommError> {
-        self.try_allreduce(v, f64::max)
-    }
-
-    fn try_allreduce(&self, v: f64, op: impl Fn(f64, f64) -> f64) -> Result<f64, CommError> {
-        // Gather to rank 0, reduce, broadcast. O(p) — fine for the rank
-        // counts we simulate; the traffic model uses message counts, not
-        // this implementation's latency.
-        let tag = self.coll_tag(COLL_ALLREDUCE);
-        let short = |src: usize, got: usize| CommError::ShortCollective {
-            src,
-            dst: self.rank,
-            tag,
-            got,
-            need: 1,
-        };
-        if self.rank == 0 {
-            let mut acc = v;
-            for src in 1..self.size() {
-                let x = self.try_recv(src, tag)?;
-                acc = op(acc, x.first().copied().ok_or_else(|| short(src, x.len()))?);
-            }
-            for dst in 1..self.size() {
-                self.send(dst, tag, &[acc]);
-            }
-            Ok(acc)
-        } else {
-            self.send(0, tag, &[v]);
-            let x = self.try_recv(0, tag)?;
-            x.first().copied().ok_or_else(|| short(0, x.len()))
-        }
-    }
-
-    /// Gather variable-length vectors to every rank (allgatherv).
-    pub fn allgatherv(&self, mine: &[f64]) -> Vec<Vec<f64>> {
-        self.try_allgatherv(mine)
-            .unwrap_or_else(|e| panic!("rank {}: allgatherv failed: {e}", self.rank))
-    }
-
-    /// Fault-tolerant allgatherv: never hangs on a dead rank.
-    pub fn try_allgatherv(&self, mine: &[f64]) -> Result<Vec<Vec<f64>>, CommError> {
-        let tag = self.coll_tag(COLL_ALLGATHERV);
+        let tag = COLL_ALLGATHERV | (e << 3);
         for dst in 0..self.size() {
             if dst != self.rank {
                 self.send(dst, tag, mine);
@@ -842,66 +667,18 @@ impl RankCtx<'_> {
             if src == self.rank {
                 out.push(mine.to_vec());
             } else {
-                out.push(self.try_recv(src, tag)?);
+                out.push(self.irecv(src, tag).wait()?);
             }
         }
         Ok(out)
-    }
-
-    /// Personalized all-to-all: `sends[dst]` goes to rank `dst`; returns
-    /// `recvs[src]`.
-    pub fn alltoallv(&self, sends: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        self.try_alltoallv(sends)
-            .unwrap_or_else(|e| panic!("rank {}: alltoallv failed: {e}", self.rank))
-    }
-
-    /// Fault-tolerant personalized all-to-all: never hangs on a dead rank.
-    pub fn try_alltoallv(&self, sends: &[Vec<f64>]) -> Result<Vec<Vec<f64>>, CommError> {
-        assert_eq!(sends.len(), self.size());
-        let tag = self.coll_tag(COLL_ALLTOALLV);
-        for (dst, payload) in sends.iter().enumerate() {
-            if dst != self.rank {
-                self.send(dst, tag, payload);
-            }
-        }
-        let mut out = Vec::with_capacity(self.size());
-        for src in 0..self.size() {
-            if src == self.rank {
-                out.push(sends[self.rank].clone());
-            } else {
-                out.push(self.try_recv(src, tag)?);
-            }
-        }
-        Ok(out)
-    }
-
-    /// Broadcast from root.
-    pub fn broadcast(&self, root: usize, data: &[f64]) -> Vec<f64> {
-        self.try_broadcast(root, data)
-            .unwrap_or_else(|e| panic!("rank {}: broadcast failed: {e}", self.rank))
-    }
-
-    /// Fault-tolerant broadcast from root: never hangs on a dead rank.
-    pub fn try_broadcast(&self, root: usize, data: &[f64]) -> Result<Vec<f64>, CommError> {
-        let tag = self.coll_tag(COLL_BROADCAST);
-        if self.rank == root {
-            for dst in 0..self.size() {
-                if dst != root {
-                    self.send(dst, tag, data);
-                }
-            }
-            Ok(data.to_vec())
-        } else {
-            self.try_recv(root, tag)
-        }
     }
 }
 
-/// An in-progress nonblocking reliable receive created by
-/// [`RankCtx::irecv`]. Polling it drives the same retransmission state
-/// machine as the blocking receive — paced by the configured backoff,
-/// so a tight compute/poll loop cannot flood the link or burn the
-/// retransmit budget — and completion delivers the payload bit-exact.
+/// An in-progress reliable receive created by [`RankCtx::irecv`].
+/// Polling drives the retransmission state machine paced by the
+/// configured backoff, so a tight compute/poll loop cannot flood the link
+/// or burn the retransmit budget; waiting drives it at the blocking
+/// cadence. Completion delivers the payload bit-exact.
 ///
 /// A handle owns the link's expected-sequence cursor: complete it
 /// (or drop it) before starting another receive from the same source.
@@ -931,8 +708,9 @@ impl RecvHandle<'_, '_> {
         r
     }
 
-    /// Block until delivery (or a comm error) — the completion of the
-    /// nonblocking receive, with blocking-receive retransmit cadence.
+    /// Block until delivery (or a comm error), waiting up to one backoff
+    /// interval (capped at the heartbeat) on the link between
+    /// retransmission requests.
     pub fn wait(&mut self) -> Result<Vec<f64>, CommError> {
         debug_assert!(!self.done, "RecvHandle waited after completion");
         loop {
@@ -949,80 +727,57 @@ impl RecvHandle<'_, '_> {
 mod tests {
     use super::*;
 
+    /// Rank 0 sends `payload` to rank 1 with tag 3; rank 1 receives it.
+    fn one_message(
+        cfg: WorldConfig,
+        payload: &[f64],
+    ) -> (Result<Vec<f64>, CommError>, RankTraffic) {
+        let (mut out, traffic) = World::run(2, cfg, |ctx| {
+            if ctx.rank() == 0 {
+                ctx.send(1, 3, payload);
+                Ok(Vec::new())
+            } else {
+                ctx.irecv(0, 3).wait()
+            }
+        });
+        (out.swap_remove(1), traffic[1])
+    }
+
     #[test]
     fn single_rank_world() {
-        let (out, traffic) = World::run(1, |ctx| {
+        let (out, traffic) = World::run(1, WorldConfig::default(), |ctx| {
             assert_eq!(ctx.rank(), 0);
             assert_eq!(ctx.size(), 1);
-            ctx.allreduce_sum(5.0)
+            ctx.try_allgatherv(&[5.0]).unwrap()
         });
-        assert_eq!(out, vec![5.0]);
-        assert_eq!(traffic[0], (0, 0));
+        assert_eq!(out, vec![vec![vec![5.0]]]);
+        assert_eq!(traffic[0], RankTraffic::default());
     }
 
     #[test]
     fn point_to_point_ring() {
-        let p = 4;
-        let (out, traffic) = World::run(p, |ctx| {
+        let (out, traffic) = World::run(4, WorldConfig::default(), |ctx| {
             let next = (ctx.rank() + 1) % ctx.size();
             let prev = (ctx.rank() + ctx.size() - 1) % ctx.size();
             ctx.send(next, 7, &[ctx.rank() as f64]);
-            ctx.recv(prev, 7)[0]
+            ctx.irecv(prev, 7).wait().unwrap()[0]
         });
         assert_eq!(out, vec![3.0, 0.0, 1.0, 2.0]);
         for t in traffic {
-            assert_eq!(t.0, 1);
-            assert_eq!(t.1, 8);
-        }
-    }
-
-    #[test]
-    fn allreduce_sum_and_max() {
-        let (out, _) = World::run(5, |ctx| {
-            let s = ctx.allreduce_sum(ctx.rank() as f64);
-            let m = ctx.allreduce_max(ctx.rank() as f64 * 2.0);
-            (s, m)
-        });
-        for (s, m) in out {
-            assert_eq!(s, 10.0);
-            assert_eq!(m, 8.0);
-        }
-    }
-
-    #[test]
-    fn alltoallv_exchanges_personalized_data() {
-        let p = 3;
-        let (out, _) = World::run(p, |ctx| {
-            let sends: Vec<Vec<f64>> =
-                (0..p).map(|dst| vec![(ctx.rank() * 10 + dst) as f64; ctx.rank() + 1]).collect();
-            ctx.alltoallv(&sends)
-        });
-        for (rank, recvs) in out.iter().enumerate() {
-            for (src, data) in recvs.iter().enumerate() {
-                assert_eq!(data.len(), src + 1);
-                assert!(data.iter().all(|&v| v == (src * 10 + rank) as f64));
-            }
-        }
-    }
-
-    #[test]
-    fn broadcast_from_root() {
-        let (out, _) = World::run(4, |ctx| ctx.broadcast(2, &[9.0, 8.0]));
-        for v in out {
-            assert_eq!(v, vec![9.0, 8.0]);
+            assert_eq!((t.messages, t.bytes, t.acks), (1, 8, 1));
         }
     }
 
     #[test]
     fn allgatherv_collects_all() {
-        let (out, _) = World::run(3, |ctx| {
+        let (out, _) = World::run(3, WorldConfig::default(), |ctx| {
             let mine = vec![ctx.rank() as f64; ctx.rank() + 1];
-            ctx.allgatherv(&mine)
+            ctx.try_allgatherv(&mine).unwrap()
         });
         for recvs in out {
             assert_eq!(recvs.len(), 3);
             for (src, v) in recvs.iter().enumerate() {
-                assert_eq!(v.len(), src + 1);
+                assert_eq!(*v, vec![src as f64; src + 1]);
             }
         }
     }
@@ -1031,33 +786,39 @@ mod tests {
     fn back_to_back_collectives_use_distinct_epoch_tags() {
         // Two identical-shape collectives in a row: without epoch tags a
         // lost first-round message could desync into the second round.
-        // With epochs the rounds are cryptographically separated; both
-        // must return the right values even under seeded drops.
+        // With epochs the rounds are separated; both must return the
+        // right values even under seeded drops, and the barrier after
+        // them must still line the ranks up.
         let cfg = WorldConfig {
             faults: Some(CommFaultPlan::new(21).with_drop_rate(0.2)),
             ..WorldConfig::default()
         };
-        let (out, _) = World::run_cfg(3, cfg, |ctx| {
-            let a = ctx.try_allreduce_sum(1.0)?;
-            let b = ctx.try_allreduce_sum(10.0)?;
-            let c = ctx.try_broadcast(1, &[7.0])?;
-            Ok::<_, CommError>((a, b, c[0]))
+        let (out, traffic) = World::run(3, cfg, |ctx| {
+            let r = ctx.rank() as f64;
+            let a = ctx.try_allgatherv(&[r])?;
+            let b = ctx.try_allgatherv(&[10.0 * r, 1.0])?;
+            ctx.try_barrier()?;
+            Ok::<_, CommError>((a, b))
         });
         for r in out {
-            assert_eq!(r.unwrap(), (3.0, 30.0, 7.0));
+            let (a, b) = r.unwrap();
+            assert_eq!(a, vec![vec![0.0], vec![1.0], vec![2.0]]);
+            assert_eq!(b, vec![vec![0.0, 1.0], vec![10.0, 1.0], vec![20.0, 1.0]]);
         }
+        assert!(traffic.iter().any(|t| t.retransmits > 0), "seed 21 must drop something");
     }
 
     #[test]
     fn barrier_synchronizes() {
         use std::sync::atomic::AtomicUsize;
         let counter = AtomicUsize::new(0);
-        World::run(4, |ctx| {
+        let (out, _) = World::run(4, WorldConfig::default(), |ctx| {
             counter.fetch_add(1, Ordering::SeqCst);
-            ctx.barrier();
+            ctx.try_barrier()?;
             // After the barrier every rank's increment is visible.
-            assert_eq!(counter.load(Ordering::SeqCst), 4);
+            Ok::<_, CommError>(counter.load(Ordering::SeqCst))
         });
+        assert!(out.into_iter().all(|n| n == Ok(4)));
     }
 
     #[test]
@@ -1069,17 +830,10 @@ mod tests {
             recv_timeout: Duration::from_secs(5),
             ..WorldConfig::default()
         };
-        let (out, traffic) = World::run_cfg_ext(2, cfg, |ctx| {
-            if ctx.rank() == 0 {
-                ctx.send(1, 3, &[1.0, 2.0]);
-                Ok(Vec::new())
-            } else {
-                ctx.try_recv(0, 3)
-            }
-        });
-        assert_eq!(out[1], Ok(vec![1.0, 2.0]));
-        assert!(traffic[1].retransmits >= 1, "recovery must go through a retransmit");
-        assert_eq!(traffic[1].acks, 1);
+        let (got, traffic) = one_message(cfg, &[1.0, 2.0]);
+        assert_eq!(got, Ok(vec![1.0, 2.0]));
+        assert!(traffic.retransmits >= 1, "recovery must go through a retransmit");
+        assert_eq!(traffic.acks, 1);
     }
 
     #[test]
@@ -1093,15 +847,9 @@ mod tests {
                 recv_timeout: Duration::from_secs(5),
                 ..WorldConfig::default()
             };
-            let (out, _) = World::run_cfg(2, cfg, |ctx| {
-                if ctx.rank() == 0 {
-                    ctx.send(1, 3, &[1.0, 2.0, 3.0, 4.0]);
-                    Ok(Vec::new())
-                } else {
-                    ctx.try_recv(0, 3)
-                }
-            });
-            assert_eq!(out[1], Ok(vec![1.0, 2.0, 3.0, 4.0]));
+            let (got, traffic) = one_message(cfg, &[1.0, 2.0, 3.0, 4.0]);
+            assert_eq!(got, Ok(vec![1.0, 2.0, 3.0, 4.0]));
+            assert!(traffic.retransmits >= 2, "both faulted deliveries are retransmitted");
         }
     }
 
@@ -1117,57 +865,24 @@ mod tests {
             heartbeat_interval: Duration::from_millis(5),
             ..WorldConfig::default()
         };
-        let (out, _) = World::run_cfg(2, cfg, |ctx| {
-            if ctx.rank() == 0 {
-                ctx.send(1, 3, &[1.0, 2.0]);
-                Ok(Vec::new())
-            } else {
-                ctx.try_recv(0, 3)
-            }
-        });
+        let (got, _) = one_message(cfg, &[1.0, 2.0]);
         assert_eq!(
-            out[1],
+            got,
             Err(CommError::RetransmitsExhausted { src: 0, dst: 1, tag: 3, seq: 0, attempts: 3 })
         );
     }
 
     #[test]
-    fn raw_path_detects_truncation_and_tag_skew() {
-        // The raw (unreliable) receive keeps the original detection
-        // semantics: a truncated payload is a typed error, and a dropped
-        // message followed by the next one is a tag mismatch.
-        let cfg = WorldConfig {
-            faults: Some(CommFaultPlan::new(11).with_truncate_rate(1.0).with_max_faults(1)),
-            recv_timeout: Duration::from_millis(200),
-            ..WorldConfig::default()
-        };
-        let (out, _) = World::run_cfg(2, cfg, |ctx| {
+    fn reliable_path_detects_tag_mismatch() {
+        // A protocol desync is not a transport fault: the message arrives
+        // intact and in sequence but under another tag, so the reliable
+        // receive reports it instead of retransmitting.
+        let (out, _) = World::run(2, WorldConfig::default(), |ctx| {
             if ctx.rank() == 0 {
-                ctx.send(1, 3, &[1.0, 2.0, 3.0, 4.0]);
-                Ok(Vec::new())
-            } else {
-                ctx.try_recv_raw(0, 3)
-            }
-        });
-        assert_eq!(
-            out[1],
-            Err(CommError::Truncated { src: 0, dst: 1, tag: 3, declared: 32, got: 16 })
-        );
-
-        let cfg = WorldConfig {
-            faults: Some(CommFaultPlan::new(5).with_drop_rate(1.0).with_max_faults(1)),
-            recv_timeout: Duration::from_millis(200),
-            ..WorldConfig::default()
-        };
-        let (out, _) = World::run_cfg(2, cfg, |ctx| {
-            if ctx.rank() == 0 {
-                ctx.send(1, 0, &[1.0]);
                 ctx.send(1, 1, &[2.0]);
                 Ok(Vec::new())
             } else {
-                // Channels are FIFO: the first arrival carrying tag 1
-                // proves message 0 was dropped and message 1 delivered.
-                ctx.try_recv_raw(0, 0)
+                ctx.irecv(0, 0).wait()
             }
         });
         assert_eq!(out[1], Err(CommError::TagMismatch { src: 0, dst: 1, expected: 0, got: 1 }));
@@ -1181,12 +896,12 @@ mod tests {
             ..WorldConfig::default()
         };
         let started = Instant::now();
-        let (out, _) = World::run_cfg(2, cfg, |ctx| {
+        let (out, _) = World::run(2, cfg, |ctx| {
             if ctx.rank() == 0 {
                 ctx.declare_dead();
                 Err(CommError::RankDead { rank: 0, dst: 0 })
             } else {
-                ctx.try_recv(0, 9).map(|_| ())
+                ctx.irecv(0, 9).wait().map(|_| ())
             }
         });
         assert_eq!(out[1], Err(CommError::RankDead { rank: 0, dst: 1 }));
@@ -1200,7 +915,7 @@ mod tests {
     fn dead_rank_detected_by_barrier() {
         let cfg =
             WorldConfig { heartbeat_interval: Duration::from_millis(5), ..WorldConfig::default() };
-        let (out, _) = World::run_cfg(3, cfg, |ctx| {
+        let (out, _) = World::run(3, cfg, |ctx| {
             if ctx.rank() == 0 {
                 ctx.declare_dead();
                 Err(CommError::RankDead { rank: 0, dst: 0 })
@@ -1215,23 +930,21 @@ mod tests {
 
     #[test]
     fn liveness_view_reflects_completion() {
-        let (out, _) = World::run(2, |ctx| {
-            if ctx.rank() == 1 {
-                // Rank 0 exits immediately; poll until the view shows it.
-                let deadline = Instant::now() + Duration::from_secs(5);
-                loop {
-                    let live = ctx.liveness();
-                    assert!(live[1], "a running rank sees itself alive");
-                    if !live[0] {
-                        return true;
-                    }
-                    assert!(Instant::now() < deadline, "liveness never updated");
-                    std::thread::yield_now();
-                }
-            }
-            true
+        // A rank that simply returns (no fail-stop call) is marked dead on
+        // exit, so a receive posted on it fails fast instead of waiting
+        // out the deadline.
+        let cfg = WorldConfig {
+            recv_timeout: Duration::from_secs(10),
+            heartbeat_interval: Duration::from_millis(5),
+            ..WorldConfig::default()
+        };
+        let started = Instant::now();
+        let (out, _) = World::run(2, cfg, |ctx| match ctx.rank() {
+            0 => Ok(()),
+            _ => ctx.irecv(0, 4).wait().map(|_| ()),
         });
-        assert_eq!(out, vec![true, true]);
+        assert_eq!(out, vec![Ok(()), Err(CommError::RankDead { rank: 0, dst: 1 })]);
+        assert!(started.elapsed() < Duration::from_secs(5), "completion must be seen quickly");
     }
 
     #[test]
@@ -1244,29 +957,31 @@ mod tests {
             recv_timeout: Duration::from_secs(5),
             ..WorldConfig::default()
         };
-        let (out, _) = World::run_cfg(2, cfg, |ctx| {
+        let (out, traffic) = World::run(2, cfg, |ctx| {
             if ctx.rank() == 0 {
                 ctx.send(1, 0, &[1.0]);
                 ctx.send(1, 1, &[2.0]);
                 Ok(Vec::new())
             } else {
-                let a = ctx.try_recv(0, 0)?;
-                let b = ctx.try_recv(0, 1)?;
+                let a = ctx.irecv(0, 0).wait()?;
+                let b = ctx.irecv(0, 1).wait()?;
                 Ok::<_, CommError>(vec![a[0], b[0]])
             }
         });
         assert_eq!(out[1], Ok(vec![1.0, 2.0]));
+        assert!(traffic[1].retransmits >= 1, "the dropped message is retransmitted");
+        assert_eq!(traffic[1].acks, 2);
     }
 
     #[test]
     fn irecv_wait_completes_like_blocking_recv() {
         // Post the receive before the send lands (the overlap pattern):
-        // completion must deliver the same bits as a blocking recv.
-        let (out, _) = World::run(3, |ctx| {
+        // completion must deliver the sent bits.
+        let (out, _) = World::run(3, WorldConfig::default(), |ctx| {
             let next = (ctx.rank() + 1) % ctx.size();
             let prev = (ctx.rank() + ctx.size() - 1) % ctx.size();
             let mut h = ctx.irecv(prev, 5);
-            ctx.isend(next, 5, &[ctx.rank() as f64; 4]);
+            ctx.send(next, 5, &[ctx.rank() as f64; 4]);
             let v = h.wait().unwrap();
             assert_eq!(h.src(), prev);
             v == vec![prev as f64; 4]
@@ -1285,9 +1000,9 @@ mod tests {
             recv_timeout: Duration::from_secs(5),
             ..WorldConfig::default()
         };
-        let (out, traffic) = World::run_cfg_ext(2, cfg, |ctx| {
+        let (out, traffic) = World::run(2, cfg, |ctx| {
             if ctx.rank() == 0 {
-                ctx.isend(1, 3, &[1.0, 2.0, 3.0]);
+                ctx.send(1, 3, &[1.0, 2.0, 3.0]);
                 Ok::<_, CommError>(Vec::new())
             } else {
                 let mut h = ctx.irecv(0, 3);
@@ -1319,37 +1034,26 @@ mod tests {
     }
 
     #[test]
-    fn short_collective_reply_is_typed_error() {
-        // A protocol violation (empty reply where the allreduce needs
-        // one value) must degrade to a typed error, not a rank abort.
-        let (out, _) = World::run(2, |ctx| {
-            if ctx.rank() == 0 {
-                matches!(
-                    ctx.try_allreduce_sum(1.0),
-                    Err(CommError::ShortCollective { src: 1, got: 0, need: 1, .. })
-                )
-            } else {
-                ctx.send(0, COLL_BASE | COLL_ALLREDUCE, &[]);
-                true
-            }
-        });
-        assert!(out.iter().all(|&ok| ok));
-    }
-
-    #[test]
     fn fault_free_path_unchanged_with_plan_installed() {
-        // A zero-rate plan must not perturb results or traffic.
-        let cfg = WorldConfig { faults: Some(CommFaultPlan::new(9)), ..WorldConfig::default() };
-        let (out, traffic) = World::run_cfg_ext(3, cfg, |ctx| {
-            let s = ctx.allreduce_sum(ctx.rank() as f64);
-            ctx.allgatherv(&[ctx.rank() as f64]).iter().map(|v| v[0]).sum::<f64>() + s
-        });
-        for v in out {
-            assert_eq!(v, 6.0);
-        }
-        let total: u64 = traffic.iter().map(|t| t.messages).sum();
-        assert!(total > 0);
-        // Fault-free: not a single retransmission.
-        assert!(traffic.iter().all(|t| t.retransmits == 0));
+        // A zero-rate plan must not perturb results or traffic: the same
+        // exchange with and without it delivers the same values over the
+        // same messages, with not a single retransmission.
+        let exchange = |faults| {
+            let cfg = WorldConfig { faults, ..WorldConfig::default() };
+            World::run(3, cfg, |ctx| {
+                let next = (ctx.rank() + 1) % ctx.size();
+                let prev = (ctx.rank() + ctx.size() - 1) % ctx.size();
+                ctx.send(next, 2, &[ctx.rank() as f64]);
+                let p2p = ctx.irecv(prev, 2).wait().unwrap()[0];
+                let all = ctx.try_allgatherv(&[ctx.rank() as f64]).unwrap();
+                p2p + all.iter().map(|v| v[0]).sum::<f64>()
+            })
+        };
+        let (plain, plain_traffic) = exchange(None);
+        let (out, traffic) = exchange(Some(CommFaultPlan::new(9)));
+        assert_eq!(out, plain);
+        assert_eq!(out, vec![5.0, 3.0, 4.0]);
+        assert_eq!(traffic, plain_traffic);
+        assert!(traffic.iter().all(|t| t.messages == 3 && t.retransmits == 0));
     }
 }

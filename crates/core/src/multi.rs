@@ -90,7 +90,7 @@ fn post_exchange<'c>(
                 payload.extend_from_slice(field.block(v, oct as usize));
             }
         }
-        ctx.isend(q, tag, &payload);
+        ctx.send(q, tag, &payload);
     }
     (0..ctx.size()).filter(|&q| !plan.recvs[r][q].is_empty()).map(|q| ctx.irecv(q, tag)).collect()
 }
@@ -485,7 +485,7 @@ fn evolve_span(
     let snapshot_ref = &snapshot;
     let overlap = world_cfg.overlap;
     let overlap_threads = world_cfg.overlap_threads;
-    let (mut results, traffic) = World::run_cfg(ranks, world_cfg, move |ctx| {
+    let (mut results, traffic) = World::run(ranks, world_cfg, move |ctx| {
         let r = ctx.rank();
         let owned = part_ref.range(r);
         let mut u = u0.clone();
@@ -643,6 +643,7 @@ fn evolve_span(
             }
         }
     }
+    let traffic = traffic.iter().map(|t| (t.messages, t.bytes)).collect();
     Ok(DistributedResult { state, traffic, work, plan })
 }
 

@@ -280,8 +280,8 @@ impl GwSolver {
         self.backend.download()
     }
 
-    /// Worker threads driving the CPU patch pipeline (the simulated GPU
-    /// backend manages its own launch parallelism and reports 1 here).
+    /// Host threads driving the backend: the CPU patch pipeline's pool,
+    /// or the simulated GPU's block-executing pool.
     pub fn n_threads(&self) -> usize {
         self.backend.n_threads()
     }

@@ -3,7 +3,7 @@
 use crate::buffer::DeviceBuffer;
 use crate::counters::{Counters, LocalCounters};
 use crate::machine::MachineSpec;
-use crate::slice::UnsafeSlice;
+use gw_par::{ThreadPool, UnsafeSlice};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -11,15 +11,17 @@ static NEXT_DEVICE_ID: AtomicUsize = AtomicUsize::new(0);
 
 /// A simulated GPU.
 ///
-/// Kernels are closures executed once per *block* over a worker pool sized
-/// like the machine's SM count (capped at host parallelism). The paper maps
-/// one octant (or one octant×dof pair) to one block; the solver kernels in
-/// `gw-core` do the same.
+/// Kernels are closures executed once per *block* over the shared
+/// `gw-par` pool sized like the machine's SM count (capped at host
+/// parallelism, [`MachineSpec::host_workers`]). The paper maps one octant
+/// (or one octant×dof pair) to one block; the solver kernels in `gw-core`
+/// do the same.
 pub struct Device {
     spec: MachineSpec,
     counters: Arc<Counters>,
     id: usize,
     probe: gw_obs::Probe,
+    pool: Arc<ThreadPool>,
 }
 
 /// Launch geometry: a 1D or 2D grid of blocks, CUDA-style.
@@ -59,15 +61,6 @@ pub struct BlockCtx {
 }
 
 impl BlockCtx {
-    /// Allocate block shared memory (zero-initialized). Metered as one
-    /// store + one load per byte over the block's lifetime, matching the
-    /// staging pattern (global→shared, compute, shared→global) of the
-    /// paper's kernels.
-    pub fn shared_alloc(&mut self, n: usize) -> Vec<f64> {
-        self.local.shared_bytes += (n * 8) as u64;
-        vec![0.0; n]
-    }
-
     /// Meter a global-memory read of `n` f64 values.
     #[inline]
     pub fn global_load(&mut self, n: usize) {
@@ -103,10 +96,11 @@ impl BlockCtx {
 impl Device {
     pub fn new(spec: MachineSpec) -> Self {
         Self {
-            spec,
             counters: Arc::new(Counters::new()),
             id: NEXT_DEVICE_ID.fetch_add(1, Ordering::Relaxed),
             probe: gw_obs::Probe::disabled(),
+            pool: ThreadPool::shared(spec.host_workers()),
+            spec,
         }
     }
 
@@ -132,6 +126,12 @@ impl Device {
 
     pub fn spec(&self) -> &MachineSpec {
         &self.spec
+    }
+
+    /// Host threads that execute this device's blocks (the size of its
+    /// `gw-par` pool).
+    pub fn n_threads(&self) -> usize {
+        self.pool.n_threads()
     }
 
     pub fn counters(&self) -> &Counters {
@@ -166,15 +166,6 @@ impl Device {
         buf.data.clone()
     }
 
-    /// Fault-injection backdoor: mutate a buffer's contents in place
-    /// without any transfer metering — simulating in-memory corruption
-    /// (see [`crate::fault`]). Not for normal data movement; host code
-    /// that wants data must still go through [`Device::dtoh`].
-    pub fn corrupt<T>(&self, buf: &mut DeviceBuffer<T>, f: impl FnOnce(&mut [T])) {
-        assert_eq!(buf.device_id, self.id, "buffer belongs to another device");
-        f(buf.as_mut_slice());
-    }
-
     /// Device-to-device copy within this device (unmetered on h2d/d2h;
     /// kernels meter their own traffic).
     pub fn d2d<T: Copy>(&self, src: &DeviceBuffer<T>, dst: &mut DeviceBuffer<T>) {
@@ -200,8 +191,9 @@ impl Device {
     }
 
     /// Launch a kernel: `body` runs once per block, in parallel over the
-    /// device's workers. Returns when all blocks complete (CUDA stream
-    /// semantics with an implicit sync; use [`crate::Stream`] for overlap).
+    /// device's pool, each participant claiming one block at a time.
+    /// Returns when all blocks complete (CUDA stream semantics with an
+    /// implicit sync).
     pub fn launch<F>(&self, cfg: LaunchConfig, body: F)
     where
         F: Fn(&mut BlockCtx) + Sync,
@@ -209,30 +201,15 @@ impl Device {
         self.counters.launches.fetch_add(1, Ordering::Relaxed);
         self.probe.add(gw_obs::Counter::KernelLaunches, 1);
         let _span = self.probe.start_labeled(gw_obs::Phase::Kernel, cfg.name);
-        let total = cfg.total_blocks();
-        if total == 0 {
-            return;
-        }
-        let workers = self.spec.host_workers().min(total);
-        let next = AtomicUsize::new(0);
         let counters = &self.counters;
-        let body = &body;
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let b = next.fetch_add(1, Ordering::Relaxed);
-                    if b >= total {
-                        break;
-                    }
-                    let mut ctx = BlockCtx {
-                        bx: b % cfg.grid_x,
-                        by: b / cfg.grid_x,
-                        local: LocalCounters::default(),
-                    };
-                    body(&mut ctx);
-                    ctx.local.flush(counters);
-                });
-            }
+        self.pool.for_each_chunked(cfg.total_blocks(), 1, |b| {
+            let mut ctx = BlockCtx {
+                bx: b % cfg.grid_x,
+                by: b / cfg.grid_x,
+                local: LocalCounters::default(),
+            };
+            body(&mut ctx);
+            ctx.local.flush(counters);
         });
     }
 }
@@ -270,6 +247,22 @@ mod tests {
     }
 
     #[test]
+    fn launches_share_one_persistent_pool() {
+        // Blocks run on the device pool's threads, the same ones launch
+        // after launch: never more distinct threads than the pool holds.
+        let dev = Device::a100();
+        let threads = std::sync::Mutex::new(std::collections::HashSet::new());
+        for _ in 0..4 {
+            dev.launch(LaunchConfig::grid1(64, "who"), |_| {
+                threads.lock().unwrap().insert(std::thread::current().id());
+            });
+        }
+        let (seen, pool) = (threads.into_inner().unwrap().len(), dev.n_threads());
+        assert!((1..=pool).contains(&seen), "{seen} threads ran blocks of a {pool}-thread pool");
+        assert_eq!(dev.n_threads(), dev.spec().host_workers());
+    }
+
+    #[test]
     fn grid2_block_indices() {
         let dev = Device::a100();
         let (gx, gy) = (7, 5);
@@ -289,8 +282,7 @@ mod tests {
             ctx.global_load(10);
             ctx.global_store(5);
             ctx.flops(100);
-            let sm = ctx.shared_alloc(16);
-            assert_eq!(sm.len(), 16);
+            ctx.shared_traffic(16);
         });
         let s = dev.counters().snapshot();
         assert_eq!(s.global_load_bytes, 64 * 80);

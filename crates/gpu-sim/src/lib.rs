@@ -11,36 +11,24 @@
 //!   "re-grid is the only synchronous host↔device movement" property of
 //!   Algorithm 1 is checkable.
 //! * **Block-parallel kernel launches** ([`Device::launch`]): a kernel runs
-//!   one *block* per octant/patch (exactly the paper's mapping), blocks are
-//!   scheduled over a worker pool sized like the machine's SM count, and
-//!   each block gets a shared-memory arena ([`BlockCtx::shared_alloc`]).
+//!   one *block* per octant/patch (exactly the paper's mapping), and blocks
+//!   are claimed one at a time by the threads of the shared `gw-par` pool,
+//!   sized like the machine's SM count (capped at host parallelism). The
+//!   pool persists across launches, so per-thread kernel caches do too.
 //! * **Hardware counters** ([`Counters`]): kernels meter global/shared
 //!   traffic and flops; the `gw-perfmodel` crate converts these into the
 //!   paper's roofline / RAM-model estimates (arithmetic intensity,
 //!   GFlop/s), which is how Tables II–III and Fig. 14 are regenerated.
 //! * **Machine descriptions** ([`MachineSpec`]): the A100 and EPYC-7763
 //!   parameter sets from section III-D.
-//! * **Streams** ([`Stream`]): ordered asynchronous queues used for the
-//!   wave-extraction overlap in the evolution loop.
-
-//! * **Fault injection** ([`fault`]): seeded, reproducible corruption of
-//!   device buffers (NaN poisoning, single-bit upsets) and forced stream
-//!   failures — the harness the `gw-core` supervisor's recovery paths
-//!   are tested against. Disabled by default: nothing in the transfer or
-//!   launch paths consults it.
 
 pub mod buffer;
 pub mod counters;
 pub mod device;
-pub mod fault;
 pub mod machine;
-pub mod slice;
-pub mod stream;
 
 pub use buffer::DeviceBuffer;
 pub use counters::{CounterSnapshot, Counters};
 pub use device::{BlockCtx, Device, LaunchConfig};
-pub use fault::FaultInjector;
+pub use gw_par::UnsafeSlice;
 pub use machine::MachineSpec;
-pub use slice::UnsafeSlice;
-pub use stream::{Stream, StreamError};

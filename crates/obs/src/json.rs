@@ -1,9 +1,10 @@
 //! A minimal JSON value model, writer, and recursive-descent parser.
 //!
-//! The workspace is intentionally dependency-free, and `gw-core`'s
-//! parameter loader only handles flat scalar objects, so the trace sink
+//! The workspace is intentionally dependency-free, so the trace sink
 //! carries its own small JSON implementation: enough to emit the trace
 //! file and to re-parse and schema-check it (`trace_check`, CI, tests).
+//! `gw-core` parses its parameter files with it too. Object errors name
+//! the member whose value (or the separator after it) is malformed.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -304,7 +305,7 @@ impl Parser<'_> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let v = self.value(depth + 1)?;
+            let v = self.value(depth + 1).map_err(|e| format!("{e} in the value of \"{k}\""))?;
             out.push((k, v));
             self.skip_ws();
             match self.peek() {
@@ -313,7 +314,13 @@ impl Parser<'_> {
                     self.pos += 1;
                     return Ok(Value::Obj(out));
                 }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
+                _ => {
+                    let (k, _) = out.last().expect("member just pushed");
+                    return Err(format!(
+                        "expected ',' or '}}' after the value of \"{k}\" at byte {}",
+                        self.pos
+                    ));
+                }
             }
         }
     }
@@ -431,6 +438,14 @@ mod tests {
         let text = v.to_string();
         let back = parse(&text).expect("round trip");
         assert_eq!(back, v);
+    }
+
+    #[test]
+    fn object_errors_name_the_member() {
+        for bad in [r#"{"a": 1, "steps": 4 5}"#, r#"{"steps": tru}"#, r#"{"steps": -}"#] {
+            let e = parse(bad).unwrap_err();
+            assert!(e.contains("\"steps\""), "{bad}: '{e}' does not name the member");
+        }
     }
 
     #[test]
