@@ -21,9 +21,8 @@ use gw_expr::schedule::{schedule, ScheduleStrategy};
 use gw_expr::symbols::NUM_VARS;
 use gw_expr::tape::Tape;
 use gw_gpu_sim::{CounterSnapshot, Device, LaunchConfig};
-use gw_mesh::scatter::{fill_boundary_padding_par, fill_patches_scatter_par};
 use gw_mesh::sync_interfaces_par;
-use gw_mesh::{Field, Mesh, PatchField};
+use gw_mesh::{Field, Mesh, ProlongedHalo};
 use gw_obs::{Counter, Phase, Probe};
 use gw_par::{tree_reduce, ThreadPool, UnsafeSlice};
 use gw_stencil::patch::{BLOCK_VOLUME, PATCH_VOLUME};
@@ -73,12 +72,12 @@ fn build_tape(kind: RhsKind, params: BssnParams) -> Option<Tape> {
     }
 }
 
-/// The per-octant RHS step every evaluator runs: [`CpuBackend`],
-/// [`GpuBackend`]'s fused kernel and the distributed rank kernel. It
-/// selects the `A` component for the configured [`RhsKind`], runs
-/// [`bssn_rhs_patch`] on one octant's padded patches, then
-/// [`sommerfeld_fix`]. The tape (which bakes in `params`) is built once,
-/// here.
+/// The per-octant RHS step every evaluator runs: [`CpuBackend`] and the
+/// distributed ranks through [`OctantRhs::gather_eval`], [`GpuBackend`]'s
+/// fused kernel through [`OctantRhs::eval`]. It selects the `A`
+/// component for the configured [`RhsKind`], runs [`bssn_rhs_patch`] on
+/// one octant's padded patches, then [`sommerfeld_fix`]. The tape (which
+/// bakes in `params`) is built once, here.
 pub(crate) struct OctantRhs {
     params: BssnParams,
     tape: Option<Tape>,
@@ -95,12 +94,51 @@ impl OctantRhs {
         self.tape.as_ref()
     }
 
+    /// Run `f` on the calling thread's cached [`StepWorkspace`], built on
+    /// first use and rebuilt only to grow for a tape with more slots:
+    /// never per octant (counted in [`Counter::WorkspaceAllocs`]), and
+    /// never back and forth between evaluators with different tapes
+    /// sharing a worker.
+    fn with_workspace<T>(&self, probe: &Probe, f: impl FnOnce(&mut StepWorkspace) -> T) -> T {
+        thread_local! {
+            static WS: std::cell::RefCell<Option<StepWorkspace>> =
+                const { std::cell::RefCell::new(None) };
+        }
+        WS.with(|cell| {
+            let mut borrow = cell.borrow_mut();
+            let slots = self.tape.as_ref().map_or(1, |t| t.n_slots);
+            if borrow.as_ref().is_none_or(|ws| ws.rhs.max_slots() < slots) {
+                probe.add(Counter::WorkspaceAllocs, 1);
+                *borrow = Some(StepWorkspace {
+                    rhs: RhsWorkspace::new(slots),
+                    patches: vec![0.0; NUM_VARS * PATCH_VOLUME],
+                });
+            }
+            f(borrow.as_mut().expect("workspace just initialized"))
+        })
+    }
+
+    /// [`bssn_rhs_patch`] then [`sommerfeld_fix`] for octant `e`.
+    fn eval_in(
+        &self,
+        mesh: &Mesh,
+        e: usize,
+        patches: &[&[f64]; NUM_VARS],
+        out: &mut [&mut [f64]; NUM_VARS],
+        ws: &mut RhsWorkspace,
+    ) -> (u64, u64) {
+        let mode = match &self.tape {
+            Some(t) => RhsMode::Tape(t),
+            None => RhsMode::Pointwise,
+        };
+        let flops = bssn_rhs_patch(patches, mesh.octants[e].h, &self.params, &mode, ws, out);
+        sommerfeld_fix(mesh, e, self.masks[e], patches, ws, out);
+        flops
+    }
+
     /// RHS of octant `e` from its 24 padded patches into its output
     /// blocks; returns (derivative flops, `A` flops). Stages through the
-    /// calling thread's cached [`RhsWorkspace`], built on first use and
-    /// rebuilt only to grow for a tape with more slots: never per octant
-    /// (counted in [`Counter::WorkspaceAllocs`]), and never back and
-    /// forth between evaluators with different tapes sharing a worker.
+    /// calling thread's cached workspace.
     pub(crate) fn eval(
         &self,
         mesh: &Mesh,
@@ -109,27 +147,38 @@ impl OctantRhs {
         out: &mut [&mut [f64]; NUM_VARS],
         probe: &Probe,
     ) -> (u64, u64) {
-        thread_local! {
-            static WS: std::cell::RefCell<Option<RhsWorkspace>> =
-                const { std::cell::RefCell::new(None) };
-        }
-        WS.with(|cell| {
-            let mut borrow = cell.borrow_mut();
-            let slots = self.tape.as_ref().map_or(1, |t| t.n_slots);
-            if borrow.as_ref().is_none_or(|ws| ws.max_slots() < slots) {
-                probe.add(Counter::WorkspaceAllocs, 1);
-                *borrow = Some(RhsWorkspace::new(slots));
-            }
-            let ws = borrow.as_mut().expect("workspace just initialized");
-            let mode = match &self.tape {
-                Some(t) => RhsMode::Tape(t),
-                None => RhsMode::Pointwise,
-            };
-            let flops = bssn_rhs_patch(patches, mesh.octants[e].h, &self.params, &mode, ws, out);
-            sommerfeld_fix(mesh, e, self.masks[e], patches, ws, out);
-            flops
+        self.with_workspace(probe, |ws| self.eval_in(mesh, e, patches, out, &mut ws.rhs))
+    }
+
+    /// The host per-octant step of [`CpuBackend`] and every distributed
+    /// rank: gather octant `e`'s 24 padded patches of `input` into the
+    /// calling thread's staging ([`ProlongedHalo::gather`]; `halo` must
+    /// hold `input`'s prolonged boxes), then [`OctantRhs::eval`]'s step
+    /// into its output blocks. The patches are consumed while still
+    /// cache-warm, and no full-mesh patch field exists.
+    pub(crate) fn gather_eval(
+        &self,
+        mesh: &Mesh,
+        e: usize,
+        input: &Field,
+        halo: &ProlongedHalo,
+        out: &mut [&mut [f64]; NUM_VARS],
+        probe: &Probe,
+    ) -> (u64, u64) {
+        self.with_workspace(probe, |ws| {
+            halo.gather(mesh, input, e, &mut ws.patches);
+            let patches: [&[f64]; NUM_VARS] =
+                std::array::from_fn(|v| &ws.patches[v * PATCH_VOLUME..(v + 1) * PATCH_VOLUME]);
+            self.eval_in(mesh, e, &patches, out, &mut ws.rhs)
         })
     }
+}
+
+/// One thread's workspace for the per-octant step: the RHS staging and
+/// the 24 padded patches (422 KB) [`OctantRhs::gather_eval`] assembles.
+struct StepWorkspace {
+    rhs: RhsWorkspace,
+    patches: Vec<f64>,
 }
 
 /// The uniform backend surface the solver drives.
@@ -166,10 +215,16 @@ pub trait Backend: Send {
     /// Resident→host state transfer (solution slot).
     fn download_raw(&self) -> Field;
 
-    /// Octant-to-patch scatter (+ boundary padding fill) of `input`.
+    /// Octant-to-patch work on `input` ahead of [`Backend::rhs_raw`].
+    /// gpu-sim scatters every padded patch and fills the boundary
+    /// padding. The CPU backend prolongs each coarse source once into
+    /// its [`ProlongedHalo`] and leaves the patch assembly to `rhs_raw`.
     fn o2p_raw(&mut self, mesh: &Mesh, input: Buf);
 
-    /// BSSN RHS over the current patches into `output`.
+    /// BSSN RHS of the `input` last passed to [`Backend::o2p_raw`] into
+    /// `output`. gpu-sim reads the scattered patches. The CPU backend
+    /// gathers each octant's patches from `input` and the halo into a
+    /// per-thread staging buffer, then evaluates it.
     fn rhs_raw(&mut self, mesh: &Mesh, output: Buf);
 
     /// `y += a·x`.
@@ -201,7 +256,7 @@ pub trait Backend: Send {
         f
     }
 
-    /// Full RHS evaluation: o2p scatter then RHS kernel, as two phase
+    /// Full RHS evaluation: octant-to-patch then RHS kernel, as two phase
     /// spans.
     fn eval_rhs(&mut self, mesh: &Mesh, input: Buf, output: Buf) {
         assert_ne!(buf_index(input), buf_index(output));
@@ -252,7 +307,11 @@ pub trait Backend: Send {
 pub struct CpuBackend {
     rhs: OctantRhs,
     bufs: [Field; NUM_BUFS],
-    patches: PatchField,
+    /// The prolonged boxes of every coarse source, and those sources.
+    halo: ProlongedHalo,
+    sources: Vec<u32>,
+    /// The buffer the last `o2p_raw` prolonged: `rhs_raw`'s input.
+    o2p_input: Option<Buf>,
     pool: Arc<ThreadPool>,
     probe: Probe,
     n_oct: usize,
@@ -270,10 +329,13 @@ impl CpuBackend {
     /// available parallelism).
     pub fn with_threads(mesh: &Mesh, params: BssnParams, kind: RhsKind, threads: usize) -> Self {
         let n = mesh.n_octants();
+        let halo = ProlongedHalo::new(mesh, NUM_VARS, 0..n);
         Self {
             rhs: OctantRhs::new(mesh, params, kind),
             bufs: std::array::from_fn(|_| Field::zeros(NUM_VARS, n)),
-            patches: PatchField::zeros(NUM_VARS, n),
+            sources: halo.sources().to_vec(),
+            halo,
+            o2p_input: None,
             pool: ThreadPool::shared(threads),
             probe: Probe::disabled(),
             n_oct: n,
@@ -311,27 +373,26 @@ impl Backend for CpuBackend {
         self.bufs[0].clone()
     }
 
-    fn o2p_raw(&mut self, mesh: &Mesh, input: Buf) {
-        fill_patches_scatter_par(mesh, &self.bufs[buf_index(input)], &mut self.patches, &self.pool);
-        fill_boundary_padding_par(mesh, &mut self.patches, NUM_VARS, &self.pool);
+    fn o2p_raw(&mut self, _mesh: &Mesh, input: Buf) {
+        self.halo.fill(&self.bufs[buf_index(input)], &self.sources, &self.pool);
+        self.o2p_input = Some(input);
     }
 
     fn rhs_raw(&mut self, mesh: &Mesh, output: Buf) {
+        let input = self.o2p_input.expect("rhs_raw evaluates the input of a preceding o2p_raw");
         let n = mesh.n_octants();
-        let patches = &self.patches;
-        let rhs = &self.rhs;
-        let probe = &self.probe;
-        let out = UnsafeSlice::new(self.bufs[buf_index(output)].as_mut_slice());
+        let (rhs, halo, probe) = (&self.rhs, &self.halo, &self.probe);
+        let (out, input) = two_mut(&mut self.bufs, buf_index(output), buf_index(input));
+        let out = UnsafeSlice::new(out.as_mut_slice());
         // One task per octant, as in the GPU backend's `grid1(n)` RHS
         // launch.
         let per_oct: Vec<(u64, u64)> = self.pool.map(n, |e| {
-            let patch_refs: [&[f64]; NUM_VARS] = std::array::from_fn(|v| patches.patch(v, e));
             let mut out_blocks: [&mut [f64]; NUM_VARS] = std::array::from_fn(|v| {
                 // Safety: task e exclusively owns octant e's output
                 // blocks for all variables.
                 unsafe { out.slice_mut((v * n + e) * BLOCK_VOLUME, BLOCK_VOLUME) }
             });
-            rhs.eval(mesh, e, &patch_refs, &mut out_blocks, probe)
+            rhs.gather_eval(mesh, e, input, halo, &mut out_blocks, probe)
         });
         // Fixed-order reduction (u64 sums are order-independent anyway;
         // kept tree-shaped for policy uniformity).

@@ -119,8 +119,11 @@ pub struct Mesh {
     pub scatter: Vec<ScatterOp>,
     /// `scatter_offsets[e]..scatter_offsets[e+1]` = ops with `src == e`.
     pub scatter_offsets: Vec<usize>,
-    /// Padding regions on the physical domain boundary: `(oct, delta)`.
+    /// Padding regions on the physical domain boundary: `(oct, delta)`,
+    /// grouped by octant in ascending order.
     pub boundary_regions: Vec<(u32, [i8; 3])>,
+    /// `boundary_offsets[b]..boundary_offsets[b+1]` = regions of octant `b`.
+    pub boundary_offsets: Vec<usize>,
     /// Fine→coarse point synchronization copies (deduplicated).
     pub syncs: Vec<SyncCopy>,
     /// For the gather (loop-over-patches) variant: per destination octant,
@@ -326,18 +329,30 @@ impl Mesh {
             gather_offsets.push(gather.len());
         }
 
+        // Regions were pushed octant by octant, so counts give offsets.
+        let mut boundary_offsets = vec![0usize; n + 1];
+        for &(b, _) in &boundary_regions {
+            boundary_offsets[b as usize + 1] += 1;
+        }
+        for b in 0..n {
+            boundary_offsets[b + 1] += boundary_offsets[b];
+        }
+        debug_assert!(boundary_regions.windows(2).all(|w| w[0].0 <= w[1].0));
+
         let mesh = Mesh {
             domain,
             octants,
             scatter,
             scatter_offsets,
             boundary_regions,
+            boundary_offsets,
             syncs,
             gather_offsets,
             gather,
         };
         // Internal invariant, asserted in release builds too: it is what
-        // makes the octant-parallel scatter race-free (see DESIGN.md).
+        // makes the block-per-octant scatter race-free and the per-octant
+        // gather order-free (see DESIGN.md).
         if let Err(msg) = check_write_partition(n, &mesh.gather, &mesh.gather_offsets) {
             panic!("write-partition invariant violated: {msg}");
         }
@@ -379,6 +394,11 @@ impl Mesh {
         &self.gather[self.gather_offsets[b]..self.gather_offsets[b + 1]]
     }
 
+    /// Physical-boundary padding regions of octant `b`'s patch.
+    pub fn boundary_of(&self, b: usize) -> &[(u32, [i8; 3])] {
+        &self.boundary_regions[self.boundary_offsets[b]..self.boundary_offsets[b + 1]]
+    }
+
     /// A simple adaptivity measure: fraction of scatter ops that need
     /// interpolation or injection (0 on a uniform grid). Higher values ↔
     /// the `m_1`-like highly adaptive grids of Table III.
@@ -407,10 +427,12 @@ impl Mesh {
 /// Verify the scatter write partition: within each destination patch,
 /// every padding point has **at most one** writer among the incoming ops.
 /// Interiors are written only by the owning octant, and the padding
-/// targets of distinct sources must be disjoint — this is exactly the
-/// property that lets [`crate::scatter::fill_patches_scatter_par`] run
-/// one task per source octant with no write synchronization. Enforced as
-/// a release-mode assertion at mesh construction.
+/// targets of distinct sources must be disjoint. Two kernels rely on it:
+/// the gpu-sim octant-to-patch kernel runs one block per source octant
+/// with no write synchronization, and
+/// [`crate::halo::ProlongedHalo::gather`] may apply an octant's incoming
+/// ops in any order. Enforced as a release-mode assertion at mesh
+/// construction.
 fn check_write_partition(
     n_oct: usize,
     gather: &[ScatterOp],
@@ -482,6 +504,11 @@ mod tests {
         // 8 octants, each with 26 directions; every octant is at a corner
         // of the domain: 26−7 = 19 boundary regions each.
         assert_eq!(m.boundary_regions.len(), 8 * 19);
+        for b in 0..m.n_octants() {
+            let of_b = m.boundary_of(b);
+            assert_eq!(of_b.len(), 19);
+            assert!(of_b.iter().all(|&(oct, _)| oct as usize == b));
+        }
     }
 
     #[test]

@@ -1,0 +1,262 @@
+//! Prolong once, gather per octant: the host octant-to-patch path.
+//!
+//! A loop-over-patches gather re-prolongs a coarse source for every finer
+//! patch that reads it, and the loop-over-octants scatter writes every
+//! patch of the mesh before any is consumed. [`ProlongedHalo`] splits the
+//! difference. [`ProlongedHalo::fill`] prolongs each coarse source
+//! *once*, and only over its [`prolong_union`] box (the part of the fine
+//! block its `Prolong` ops read), into one flat buffer. Then
+//! [`ProlongedHalo::gather`] assembles one octant's padded patches at a
+//! time into a staging buffer the caller owns, reading `Same`/`Inject`
+//! values from the source blocks and `Prolong` values from the halo. No
+//! full-mesh patch field exists.
+//!
+//! Every value is bit-identical to [`crate::scatter::fill_patches_scatter`]
+//! plus [`crate::scatter::fill_boundary_padding`]: a box-restricted
+//! prolongation equals the full prolongation inside the box
+//! ([`Prolongation::prolong_box_into`]), and the mesh's write partition
+//! gives every padding point exactly one incoming op, so the gather's op
+//! order does not matter.
+
+use crate::field::Field;
+use crate::grid::{Mesh, ScatterKind};
+use crate::scatter::{for_each_boundary_point, for_each_scatter_row, prolong_union};
+use gw_par::{tree_reduce, ThreadPool, UnsafeSlice};
+use gw_stencil::interp::{FineBox, ProlongWorkspace, Prolongation};
+use gw_stencil::patch::{PATCH_VOLUME, POINTS_PER_SIDE};
+use std::cell::RefCell;
+use std::ops::Range;
+
+/// `slot_of` marker for an octant that is not a source of the halo.
+const NO_SLOT: u32 = u32::MAX;
+
+/// The prolonged boxes of a set of coarse source octants, for all `dof`
+/// variables, in one flat buffer: source `s`'s box `b` holds variable
+/// `v` at `offsets[s] + v·|b|`, x fastest within the box.
+pub struct ProlongedHalo {
+    dof: usize,
+    prolong: Prolongation,
+    /// Per octant id: its slot in `sources`, or [`NO_SLOT`].
+    slot_of: Vec<u32>,
+    /// The source octants, ascending.
+    sources: Vec<u32>,
+    /// Per slot: the prolonged box and the start of its values.
+    boxes: Vec<FineBox>,
+    offsets: Vec<usize>,
+    data: Vec<f64>,
+}
+
+impl ProlongedHalo {
+    /// The halo feeding every `Prolong` op whose destination lies in
+    /// `dsts`: one [`prolong_union`] box per source of such an op. The
+    /// whole mesh (`0..n`) for a single-rank backend; a rank's owned
+    /// range, whose sources include ghosts, for a distributed one.
+    pub fn new(mesh: &Mesh, dof: usize, dsts: Range<usize>) -> Self {
+        let n = mesh.n_octants();
+        let mut is_source = vec![false; n];
+        for b in dsts {
+            for op in mesh.gather_of(b).iter().filter(|op| op.kind == ScatterKind::Prolong) {
+                is_source[op.src as usize] = true;
+            }
+        }
+        let mut slot_of = vec![NO_SLOT; n];
+        let (mut sources, mut boxes, mut offsets) = (Vec::new(), Vec::new(), Vec::new());
+        let mut len = 0;
+        for e in (0..n).filter(|&e| is_source[e]) {
+            let b =
+                prolong_union(mesh.scatter_of(e)).expect("every Prolong op reads a non-empty box");
+            slot_of[e] = sources.len() as u32;
+            sources.push(e as u32);
+            boxes.push(b);
+            offsets.push(len);
+            len += dof * b.volume();
+        }
+        Self {
+            dof,
+            prolong: Prolongation::new(),
+            slot_of,
+            sources,
+            boxes,
+            offsets,
+            data: vec![0.0; len],
+        }
+    }
+
+    /// The halo's source octants, ascending.
+    pub fn sources(&self) -> &[u32] {
+        &self.sources
+    }
+
+    /// Prolong each listed source of `field` once into its box, for every
+    /// variable: one task per source on `pool`, each writing only its own
+    /// slot, so the result is bit-identical at any thread count.
+    /// `sources` must be ascending halo sources. Returns the flops, the
+    /// union-box count of [`Prolongation::prolong_box_into`].
+    pub fn fill(&mut self, field: &Field, sources: &[u32], pool: &ThreadPool) -> u64 {
+        thread_local! {
+            static WS: RefCell<Option<ProlongWorkspace>> = const { RefCell::new(None) };
+        }
+        assert!(sources.windows(2).all(|w| w[0] < w[1]), "halo sources must be ascending");
+        let Self { dof, prolong, slot_of, boxes, offsets, data, .. } = self;
+        let out = UnsafeSlice::new(data);
+        let flops = pool.map(sources.len(), |i| {
+            let e = sources[i] as usize;
+            let s = slot_of[e];
+            assert_ne!(s, NO_SLOT, "octant {e} is not a source of this halo");
+            let (b, off) = (boxes[s as usize], offsets[s as usize]);
+            let v = b.volume();
+            WS.with(|cell| {
+                let mut borrow = cell.borrow_mut();
+                let ws = borrow.get_or_insert_with(ProlongWorkspace::new);
+                (0..*dof)
+                    .map(|var| {
+                        // Safety: sources are distinct, so slot `s` (and
+                        // this range of it) belongs to this task alone.
+                        let dst = unsafe { out.slice_mut(off + var * v, v) };
+                        prolong.prolong_box_into(field.block(var, e), dst, ws, b)
+                    })
+                    .sum::<u64>()
+            })
+        });
+        tree_reduce(&flops, 0u64, |a, b| a + b)
+    }
+
+    /// Assemble octant `e`'s `dof` padded patches of `field` into
+    /// `staging` (variable-major, `dof × PATCH_VOLUME`): the interior
+    /// copy, each incoming op of [`Mesh::gather_of`] — `Same`/`Inject`
+    /// read from the source block, `Prolong` from the source's box, which
+    /// [`ProlongedHalo::fill`] must have filled from `field` — then the
+    /// physical-boundary padding, which copies interior points. `mesh`
+    /// is the mesh the halo was built for. Reads only, so any number of
+    /// threads may gather concurrently.
+    pub fn gather(&self, mesh: &Mesh, field: &Field, e: usize, staging: &mut [f64]) {
+        const R: usize = POINTS_PER_SIDE;
+        assert_eq!(staging.len(), self.dof * PATCH_VOLUME);
+        for (var, patch) in staging.chunks_exact_mut(PATCH_VOLUME).enumerate() {
+            gw_stencil::patch::octant_to_patch_interior(field.block(var, e), patch);
+            for op in mesh.gather_of(e) {
+                let (src, origin, dims) = if op.kind == ScatterKind::Prolong {
+                    let s = self.slot_of[op.src as usize] as usize;
+                    let (b, v) = (self.boxes[s], self.boxes[s].volume());
+                    let values = &self.data[self.offsets[s] + var * v..][..v];
+                    (values, b.lo, [b.hi[0] - b.lo[0], b.hi[1] - b.lo[1]])
+                } else {
+                    (field.block(var, op.src as usize), [0; 3], [R, R])
+                };
+                for_each_scatter_row(op, origin, dims, |dst, s, len, step| {
+                    if step == 1 {
+                        patch[dst..dst + len].copy_from_slice(&src[s..s + len]);
+                    } else {
+                        for i in 0..len {
+                            patch[dst + i] = src[s + step * i];
+                        }
+                    }
+                });
+            }
+            for &(_, delta) in mesh.boundary_of(e) {
+                for_each_boundary_point(delta, |dst, src| patch[dst] = patch[src]);
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::field::PatchField;
+    use crate::scatter::{fill_boundary_padding, fill_patches_scatter};
+    use gw_octree::{balance_octree, complete_octree, BalanceMode, Domain, MortonKey};
+
+    /// Corner-refined mesh: `depth` levels below the first split.
+    fn corner_mesh(depth: usize) -> Mesh {
+        let mut k = MortonKey::root().children()[0];
+        for _ in 1..depth {
+            k = k.children()[7];
+        }
+        let t = complete_octree(k.children().to_vec());
+        Mesh::build(Domain::unit(), &balance_octree(&t, BalanceMode::Full))
+    }
+
+    fn sin_field(mesh: &Mesh, dof: usize) -> Field {
+        let mut f = Field::zeros(dof, mesh.n_octants());
+        for var in 0..dof {
+            for oct in 0..mesh.n_octants() {
+                for (i, v) in f.block_mut(var, oct).iter_mut().enumerate() {
+                    *v = ((var * 1009 + oct * 131 + i) as f64).sin();
+                }
+            }
+        }
+        f
+    }
+
+    /// Union-box flops of prolonging `sources` for `dof` variables.
+    fn union_flops(mesh: &Mesh, dof: usize, sources: &[u32]) -> u64 {
+        let r = POINTS_PER_SIDE as u64;
+        sources
+            .iter()
+            .filter_map(|&e| prolong_union(mesh.scatter_of(e as usize)))
+            .map(|b| {
+                let [bx, by, bz] = [0, 1, 2].map(|a| (b.hi[a] - b.lo[a]) as u64);
+                dof as u64 * 2 * r * (bx * r * r + bx * by * r + bx * by * bz)
+            })
+            .sum()
+    }
+
+    /// The halo path (prolong once, gather per octant) must reproduce the
+    /// serial scatter oracle bit for bit at any thread count, with the
+    /// union-box flop count, below the oracle's full prolongations.
+    #[test]
+    fn halo_gather_matches_serial_scatter_bitwise() {
+        // The adaptive test mesh and a deeper one with ≥ 3 levels.
+        for (mesh, min_levels) in [(corner_mesh(2), 2), (corner_mesh(4), 3)] {
+            let n = mesh.n_octants();
+            let levels: std::collections::BTreeSet<u8> =
+                mesh.octants.iter().map(|o| o.level).collect();
+            assert!(levels.len() >= min_levels, "levels {levels:?}");
+            let dof = 3;
+            let f = sin_field(&mesh, dof);
+            let mut p_ref = PatchField::zeros(dof, n);
+            p_ref.fill(f64::NAN);
+            let flops_full = fill_patches_scatter(&mesh, &f, &mut p_ref);
+            fill_boundary_padding(&mesh, &mut p_ref, dof);
+            let every_source: Vec<u32> = (0..n as u32).collect();
+            let flops_union = union_flops(&mesh, dof, &every_source);
+            assert!(
+                0 < flops_union && flops_union < flops_full,
+                "union-box flops {flops_union} vs full {flops_full}"
+            );
+            let bits = |s: &[f64]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            for threads in [1usize, 2, 8] {
+                let pool = ThreadPool::new(threads);
+                // The whole mesh, and a rank-like half whose halo also
+                // holds sources outside its destination range.
+                for dsts in [0..n, 0..n / 2] {
+                    let mut halo = ProlongedHalo::new(&mesh, dof, dsts.clone());
+                    let sources = halo.sources().to_vec();
+                    assert_eq!(
+                        halo.fill(&f, &sources, &pool),
+                        union_flops(&mesh, dof, &sources),
+                        "flop count at {threads} threads"
+                    );
+                    if dsts == (0..n) {
+                        assert_eq!(union_flops(&mesh, dof, &sources), flops_union);
+                    }
+                    let gathered = pool.map(dsts.len(), |i| {
+                        let mut staging = vec![f64::NAN; dof * PATCH_VOLUME];
+                        halo.gather(&mesh, &f, dsts.start + i, &mut staging);
+                        staging
+                    });
+                    for (e, staging) in dsts.clone().zip(&gathered) {
+                        for var in 0..dof {
+                            assert_eq!(
+                                bits(&staging[var * PATCH_VOLUME..][..PATCH_VOLUME]),
+                                bits(p_ref.patch(var, e)),
+                                "octant {e} var {var} at {threads} threads"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}

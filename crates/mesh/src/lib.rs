@@ -12,6 +12,9 @@
 //!   scatters its data into neighbor patches with direct copy / injection /
 //!   interpolation per the 2:1 case analysis (Algorithm 2). Plus
 //!   patch-to-octant (pure copy-back) and interface sync.
+//! * [`halo`] — the host octant-to-patch path: prolong each coarse
+//!   source once into a [`halo::ProlongedHalo`], then gather one octant's
+//!   patches at a time into a caller-owned staging buffer.
 //! * [`gather`] — *loop-over-patches* octant-to-patch (the Dendro-GR
 //!   baseline the paper improves on, Fig. 7): each patch pulls from its
 //!   neighbors, re-interpolating per target (redundant interpolations).
@@ -31,13 +34,12 @@
 pub mod field;
 pub mod gather;
 pub mod grid;
+pub mod halo;
 pub mod o2n;
 pub mod scatter;
 
 pub use field::{Field, PatchField};
 pub use grid::{Mesh, MeshError, ScatterKind, ScatterOp};
+pub use halo::ProlongedHalo;
 pub use o2n::O2NMap;
-pub use scatter::{
-    fill_patches_scatter, fill_patches_scatter_par, patches_to_octants, sync_interfaces,
-    sync_interfaces_par,
-};
+pub use scatter::{fill_patches_scatter, patches_to_octants, sync_interfaces, sync_interfaces_par};

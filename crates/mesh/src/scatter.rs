@@ -7,10 +7,9 @@
 
 use crate::field::{Field, PatchField};
 use crate::grid::{Mesh, ScatterKind, ScatterOp};
-use gw_par::{tree_reduce, ThreadPool, UnsafeSlice};
+use gw_par::{ThreadPool, UnsafeSlice};
 use gw_stencil::interp::{FineBox, ProlongWorkspace, Prolongation, FINE_SIDE};
-use gw_stencil::patch::{PatchLayout, PADDING, PATCH_VOLUME, POINTS_PER_SIDE};
-use std::cell::RefCell;
+use gw_stencil::patch::{PatchLayout, PADDING, POINTS_PER_SIDE};
 
 /// Per-axis padded-patch index range of the padding region in direction
 /// `delta` (−1 → `[0,3)`, 0 → `[3,10)`, +1 → `[10,13)`).
@@ -24,96 +23,96 @@ pub fn region_range(delta: i8) -> std::ops::Range<usize> {
     }
 }
 
-/// Enumerate the `(dst_idx, src_idx)` point pairs of one scatter op.
-/// `dst_idx` indexes the destination's padded patch; `src_idx` indexes the
-/// source's `r^3` block for `Same`/`Inject` and the prolonged `(2r−1)^3`
-/// block for `Prolong`. This single index walk backs both the execution
-/// kernel ([`apply_scatter_op`]) and the build-time write-partition check
-/// in `grid.rs`, so what is validated is exactly what is executed.
+/// One axis of a scatter op's point walk: padded-patch coordinates `dst`
+/// read source coordinates `src0, src0 + step, …` (of the source's `r^3`
+/// block for `Same`/`Inject`, of its prolonged `(2r−1)^3` block for
+/// `Prolong`).
+struct AxisWalk {
+    dst: std::ops::Range<usize>,
+    src0: usize,
+    step: usize,
+}
+
+/// The walk of `op` along axis `a`, from `delta` and `off` alone.
+fn axis_walk(op: &ScatterOp, a: usize) -> AxisWalk {
+    let range = region_range(op.delta[a]);
+    let (delta, off) = (op.delta[a] as i32, op.off[a]);
+    // Source coordinate `step·p + base` of padded coordinate `p`, and the
+    // largest source coordinate the op may read.
+    let (step, base, top) = match op.kind {
+        // Src at direction δ from dst ⇒ src_origin = dst_origin + 6δh.
+        ScatterKind::Same => (1, -3 - 6 * delta, 6),
+        // i_src = 2(p − 3) − off; the i_src == 6 boundary plane is read
+        // only by the op that owns it (grid-construction-time ownership,
+        // see `ScatterOp::inc6`).
+        ScatterKind::Inject => (2, -6 - off, if op.inc6[a] { 6 } else { 5 }),
+        // j = off + (p − 3) into the prolonged (2r−1)^3 block.
+        ScatterKind::Prolong => (1, off - 3, FINE_SIDE as i32 - 1),
+    };
+    let src = |p: usize| step * p as i32 + base;
+    // `src` is increasing in `p`, so the readable coordinates form one
+    // contiguous run of the region.
+    let lo = range.clone().find(|&p| src(p) >= 0).unwrap_or(range.end);
+    let hi = range.clone().rev().find(|&p| src(p) <= top).map_or(lo, |p| p + 1).max(lo);
+    debug_assert!(op.kind != ScatterKind::Same || (lo..hi) == range, "same ops read whole regions");
+    AxisWalk { src0: src(lo).max(0) as usize, dst: lo..hi, step: step as usize }
+}
+
+/// Walk one scatter op row by row: for every x-row of the destination
+/// region it writes, `visit(dst_idx, src_idx, len, step)` gets the
+/// row's first padded-patch index, its first source index, its length
+/// and the source stride along x. Source coordinates are taken relative
+/// to `origin` in a box of x/y extent `dims` (x fastest): `[0; 3]` and
+/// the block side for a whole source block, a `FineBox`'s corner and
+/// extents for a compactly stored prolonged box. Every scatter and
+/// gather kernel, and the build-time write-partition check, walks ops
+/// through this one function.
 #[inline]
-pub fn for_each_scatter_point(op: &ScatterOp, mut visit: impl FnMut(usize, usize)) {
+pub fn for_each_scatter_row(
+    op: &ScatterOp,
+    origin: [usize; 3],
+    dims: [usize; 2],
+    mut visit: impl FnMut(usize, usize, usize, usize),
+) {
     let p = PatchLayout::padded();
-    let o = PatchLayout::octant();
-    match op.kind {
-        ScatterKind::Same => {
-            // i_src = (p − 3) + 6δ ... derived from origins: src at
-            // direction δ from dst ⇒ src_origin = dst_origin + 6δh.
-            for pz in region_range(op.delta[2]) {
-                let ez = pz as i32 - 3 - 6 * op.delta[2] as i32;
-                debug_assert!((0..7).contains(&ez));
-                for py in region_range(op.delta[1]) {
-                    let ey = py as i32 - 3 - 6 * op.delta[1] as i32;
-                    for px in region_range(op.delta[0]) {
-                        let ex = px as i32 - 3 - 6 * op.delta[0] as i32;
-                        visit(p.idx(px, py, pz), o.idx(ex as usize, ey as usize, ez as usize));
-                    }
-                }
-            }
-        }
-        ScatterKind::Inject => {
-            // i_src = 2(p − 3) − off; the i_src == 6 boundary plane is
-            // written only by the op that owns it (grid-construction-time
-            // ownership, see `ScatterOp::inc6`).
-            let valid = |i: i32, ax: usize| i >= 0 && (i < 6 || (i == 6 && op.inc6[ax]));
-            for pz in region_range(op.delta[2]) {
-                let ez = 2 * (pz as i32 - 3) - op.off[2];
-                if !valid(ez, 2) {
-                    continue;
-                }
-                for py in region_range(op.delta[1]) {
-                    let ey = 2 * (py as i32 - 3) - op.off[1];
-                    if !valid(ey, 1) {
-                        continue;
-                    }
-                    for px in region_range(op.delta[0]) {
-                        let ex = 2 * (px as i32 - 3) - op.off[0];
-                        if !valid(ex, 0) {
-                            continue;
-                        }
-                        visit(p.idx(px, py, pz), o.idx(ex as usize, ey as usize, ez as usize));
-                    }
-                }
-            }
-        }
-        ScatterKind::Prolong => {
-            // j = off + (p − 3) into the prolonged (2r−1)^3 block.
-            let f = FINE_SIDE as i32;
-            for pz in region_range(op.delta[2]) {
-                let jz = op.off[2] + pz as i32 - 3;
-                if !(0..f).contains(&jz) {
-                    continue;
-                }
-                for py in region_range(op.delta[1]) {
-                    let jy = op.off[1] + py as i32 - 3;
-                    if !(0..f).contains(&jy) {
-                        continue;
-                    }
-                    for px in region_range(op.delta[0]) {
-                        let jx = op.off[0] + px as i32 - 3;
-                        if !(0..f).contains(&jx) {
-                            continue;
-                        }
-                        visit(p.idx(px, py, pz), ((jz * f + jy) * f + jx) as usize);
-                    }
-                }
-            }
+    let [x, y, z] = [0, 1, 2].map(|a| axis_walk(op, a));
+    let len = x.dst.len();
+    if len == 0 {
+        return;
+    }
+    for (kz, pz) in z.dst.enumerate() {
+        let sz = z.src0 + z.step * kz - origin[2];
+        for (ky, py) in y.dst.clone().enumerate() {
+            let sy = y.src0 + y.step * ky - origin[1];
+            let src = (sz * dims[1] + sy) * dims[0] + x.src0 - origin[0];
+            visit(p.idx(x.dst.start, py, pz), src, len, x.step);
         }
     }
 }
 
+/// Enumerate the `(dst_idx, src_idx)` point pairs of one scatter op.
+/// `dst_idx` indexes the destination's padded patch; `src_idx` indexes the
+/// source's `r^3` block for `Same`/`Inject` and the prolonged `(2r−1)^3`
+/// block for `Prolong`. The point view of [`for_each_scatter_row`].
+#[inline]
+pub fn for_each_scatter_point(op: &ScatterOp, mut visit: impl FnMut(usize, usize)) {
+    let side = if op.kind == ScatterKind::Prolong { FINE_SIDE } else { POINTS_PER_SIDE };
+    for_each_scatter_row(op, [0; 3], [side, side], |dst, src, len, step| {
+        for i in 0..len {
+            visit(dst + i, src + step * i);
+        }
+    });
+}
+
 /// The fine sub-box of the source's prolonged `(2r−1)^3` block that a
-/// `Prolong` op reads: per axis, the image `j = off + (p − 3)` of the
-/// op's padding range clipped to `0..2r−1` — exactly the indices
-/// [`for_each_scatter_point`] visits, so prolonging only this box
-/// ([`Prolongation::prolong_box_ws`]) feeds the op bit-identical values.
+/// `Prolong` op reads: per axis, the run of `j = off + (p − 3)` its walk
+/// visits — exactly the indices [`for_each_scatter_point`] visits, so
+/// prolonging only this box ([`Prolongation::prolong_box_ws`]) feeds the
+/// op bit-identical values.
 pub fn prolong_box(op: &ScatterOp) -> FineBox {
     debug_assert_eq!(op.kind, ScatterKind::Prolong);
-    let f = FINE_SIDE as i32;
-    let clip = |a: usize, p: usize| (op.off[a] + p as i32 - PADDING as i32).clamp(0, f) as usize;
-    let ranges = [0, 1, 2].map(|a| region_range(op.delta[a]));
-    let lo = [0, 1, 2].map(|a| clip(a, ranges[a].start));
-    let hi = [0, 1, 2].map(|a| clip(a, ranges[a].end));
-    FineBox { lo, hi }
+    let walks = [0, 1, 2].map(|a| axis_walk(op, a));
+    FineBox { lo: walks.each_ref().map(|w| w.src0), hi: walks.map(|w| w.src0 + w.dst.len()) }
 }
 
 /// The box a source octant prolongs for its outgoing ops: the hull of
@@ -179,75 +178,6 @@ pub fn fill_patches_scatter(mesh: &Mesh, field: &Field, patches: &mut PatchField
         }
     }
     flops
-}
-
-/// Octant-parallel [`fill_patches_scatter`]: one task per source octant,
-/// mirroring the paper's one-GPU-block-per-octant kernel grid. A source
-/// prolongs only its [`prolong_union`] box — the rest of the fine block
-/// is never read — so the returned flops are the union-box flops. Race
-/// freedom is structural — each task writes its own patch interior plus
-/// the padding targets of its outgoing ops, and `Mesh::build` asserts
-/// that those target sets are disjoint across sources (the write
-/// partition). Bit-identical to the serial version at any thread count:
-/// every patch point has exactly one writer and its value depends only on
-/// the source block, never on execution order.
-pub fn fill_patches_scatter_par(
-    mesh: &Mesh,
-    field: &Field,
-    patches: &mut PatchField,
-    pool: &ThreadPool,
-) -> u64 {
-    thread_local! {
-        static SCRATCH: RefCell<Option<(ProlongWorkspace, Vec<f64>)>> =
-            const { RefCell::new(None) };
-    }
-    let prolong = Prolongation::new();
-    let dof = field.dof;
-    let n_oct = patches.n_oct;
-    let n = mesh.n_octants();
-    let out = UnsafeSlice::new(patches.as_mut_slice());
-    let flops: Vec<u64> = pool.map(n, |e| {
-        SCRATCH.with(|cell| {
-            let mut guard = cell.borrow_mut();
-            let (ws, fine13) = guard.get_or_insert_with(|| {
-                (ProlongWorkspace::new(), vec![0.0f64; FINE_SIDE * FINE_SIDE * FINE_SIDE])
-            });
-            let o = PatchLayout::octant();
-            let p = PatchLayout::padded();
-            let ops = mesh.scatter_of(e);
-            let union = prolong_union(ops);
-            let mut fl = 0u64;
-            for var in 0..dof {
-                let src = field.block(var, e);
-                // Own interior: this task is the sole writer of patch
-                // (var, e)'s interior region.
-                let own = (var * n_oct + e) * PATCH_VOLUME;
-                for (i, j, k) in o.iter() {
-                    // Safety: single writer per point (see fn docs).
-                    unsafe {
-                        out.write(
-                            own + p.idx(i + PADDING, j + PADDING, k + PADDING),
-                            src[o.idx(i, j, k)],
-                        )
-                    };
-                }
-                if let Some(b) = union {
-                    fl += prolong.prolong_box_ws(src, fine13, ws, b.lo, b.hi);
-                }
-                for op in ops {
-                    let base = (var * n_oct + op.dst as usize) * PATCH_VOLUME;
-                    let sarr: &[f64] = if op.kind == ScatterKind::Prolong { fine13 } else { src };
-                    for_each_scatter_point(op, |dst_idx, src_idx| {
-                        // Safety: the write partition makes (base+dst_idx)
-                        // unique to this source octant.
-                        unsafe { out.write(base + dst_idx, sarr[src_idx]) };
-                    });
-                }
-            }
-            fl
-        })
-    });
-    tree_reduce(&flops, 0u64, |a, b| a + b)
 }
 
 /// Patch-to-octant: copy every patch interior back into the octant blocks
@@ -332,35 +262,6 @@ pub fn fill_boundary_padding(mesh: &Mesh, patches: &mut PatchField, dof: usize) 
             for_each_boundary_point(delta, |dst, src| patch[dst] = patch[src]);
         }
     }
-}
-
-/// Region-parallel [`fill_boundary_padding`]: one task per boundary
-/// `(octant, delta)` region. Regions of the same patch are disjoint, and
-/// the clamped read source is always in the patch interior, which this
-/// kernel never writes.
-pub fn fill_boundary_padding_par(
-    mesh: &Mesh,
-    patches: &mut PatchField,
-    dof: usize,
-    pool: &ThreadPool,
-) {
-    let n_oct = patches.n_oct;
-    let regions = &mesh.boundary_regions;
-    let out = UnsafeSlice::new(patches.as_mut_slice());
-    pool.for_each(regions.len(), |ri| {
-        let (oct, delta) = regions[ri];
-        for var in 0..dof {
-            let base = (var * n_oct + oct as usize) * PATCH_VOLUME;
-            for_each_boundary_point(delta, |dst, src| {
-                // Safety: reads hit the (never-written) interior; each
-                // padding point belongs to exactly one region.
-                unsafe {
-                    let v = out.read(base + src);
-                    out.write(base + dst, v);
-                }
-            });
-        }
-    });
 }
 
 #[cfg(test)]
@@ -559,9 +460,10 @@ mod tests {
         }
     }
 
-    /// The parallel kernels must be bit-identical to the serial oracles
-    /// for every thread count — the core determinism claim of the
-    /// threading model (DESIGN.md).
+    /// The parallel interface sync must be bit-identical to the serial
+    /// oracle for every thread count — the core determinism claim of the
+    /// threading model (DESIGN.md). The octant-to-patch half of this
+    /// claim is `halo::tests::halo_gather_matches_serial_scatter_bitwise`.
     #[test]
     fn parallel_kernels_bitwise_match_serial_at_any_thread_count() {
         let mesh = adaptive_mesh();
@@ -574,44 +476,14 @@ mod tests {
                 }
             }
         }
-        // Serial reference pipeline.
-        let mut p_ref = PatchField::zeros(dof, mesh.n_octants());
-        p_ref.fill(f64::NAN);
-        let flops_ref = fill_patches_scatter(&mesh, &f, &mut p_ref);
-        fill_boundary_padding(&mesh, &mut p_ref, dof);
         let mut sync_ref = f.clone();
         sync_interfaces(&mesh, &mut sync_ref);
-        // The parallel kernel prolongs only each source's union box: its
-        // flops are exactly those boxes' pass outputs (2r flops each),
-        // strictly fewer than the serial full-block prolongations.
-        let r = POINTS_PER_SIDE as u64;
-        let flops_union: u64 = (0..mesh.n_octants())
-            .filter_map(|e| prolong_union(mesh.scatter_of(e)))
-            .map(|b| {
-                let [bx, by, bz] = [0, 1, 2].map(|a| (b.hi[a] - b.lo[a]) as u64);
-                dof as u64 * 2 * r * (bx * r * r + bx * by * r + bx * by * bz)
-            })
-            .sum();
-        assert!(
-            0 < flops_union && flops_union < flops_ref,
-            "union-box flops {flops_union} vs full {flops_ref}"
-        );
+        let bits = |s: &[f64]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         for threads in [1usize, 2, 3, 8] {
             let pool = gw_par::ThreadPool::new(threads);
-            let mut p = PatchField::zeros(dof, mesh.n_octants());
-            p.fill(f64::NAN);
-            let flops = fill_patches_scatter_par(&mesh, &f, &mut p, &pool);
-            assert_eq!(flops, flops_union, "flop count differs at {threads} threads");
-            fill_boundary_padding_par(&mesh, &mut p, dof, &pool);
-            let bits = |s: &[f64]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            assert_eq!(
-                bits(p.as_slice()),
-                bits(p_ref.as_slice()),
-                "patches differ at {threads} threads"
-            );
             let mut sync = f.clone();
             sync_interfaces_par(&mesh, &mut sync, &pool);
-            assert_eq!(bits(sync.as_slice()), bits(sync_ref.as_slice()));
+            assert_eq!(bits(sync.as_slice()), bits(sync_ref.as_slice()), "{threads} threads");
         }
     }
 

@@ -211,10 +211,44 @@ impl Prolongation {
         lo: [usize; 3],
         hi: [usize; 3],
     ) -> u64 {
+        let f = FINE_SIDE;
+        debug_assert_eq!(fine.len(), f * f * f);
+        self.prolong_into(coarse, fine, ws, FineBox { lo, hi }, [0; 3], [f, f])
+    }
+
+    /// [`Prolongation::prolong_box_ws`] into compact storage: `out` holds
+    /// the box alone, x fastest, fine point `(i, j, k)` at
+    /// `((k − lo₂)·ny + (j − lo₁))·nx + (i − lo₀)` with `(nx, ny)` the
+    /// box's x and y extents. Same passes, same values, same flop count;
+    /// only where pass 3 stores differs.
+    pub fn prolong_box_into(
+        &self,
+        coarse: &[f64],
+        out: &mut [f64],
+        ws: &mut ProlongWorkspace,
+        b: FineBox,
+    ) -> u64 {
+        debug_assert_eq!(out.len(), b.volume());
+        let extent = [b.hi[0].saturating_sub(b.lo[0]), b.hi[1].saturating_sub(b.lo[1])];
+        self.prolong_into(coarse, out, ws, b, b.lo, extent)
+    }
+
+    /// The three passes of [`Prolongation::prolong_box_ws`], storing fine
+    /// point `(i, j, k)` of box `b` at
+    /// `((k − origin₂)·ny + (j − origin₁))·nx + (i − origin₀)`.
+    fn prolong_into(
+        &self,
+        coarse: &[f64],
+        out: &mut [f64],
+        ws: &mut ProlongWorkspace,
+        b: FineBox,
+        origin: [usize; 3],
+        [nx, ny]: [usize; 2],
+    ) -> u64 {
         let r = POINTS_PER_SIDE;
         let f = FINE_SIDE;
+        let FineBox { lo, hi } = b;
         debug_assert_eq!(coarse.len(), r * r * r);
-        debug_assert_eq!(fine.len(), f * f * f);
         debug_assert!(hi.iter().all(|&h| h <= f), "box {lo:?}..{hi:?} exceeds the fine block");
         if (0..3).any(|a| lo[a] >= hi[a]) {
             return 0;
@@ -252,12 +286,13 @@ impl Prolongation {
         for kk in zs {
             let row = &self.rows[kk];
             for j in ys.clone() {
+                let base = ((kk - origin[2]) * ny + (j - origin[1])) * nx;
                 for i in xs.clone() {
                     let mut acc = 0.0;
                     for (c, w) in row.iter().enumerate() {
                         acc += w * t2[(c * f + j) * f + i];
                     }
-                    fine[(kk * f + j) * f + i] = acc;
+                    out[base + i - origin[0]] = acc;
                 }
             }
         }
@@ -502,6 +537,20 @@ mod proptests {
             }
             let b = FineBox { lo, hi };
             prop_assert_eq!(flops == 0, b.volume() == 0);
+            // The compact variant stores the same box values, x fastest.
+            let mut compact = vec![sentinel; b.volume()];
+            prop_assert_eq!(p.prolong_box_into(&coarse, &mut compact, &mut ws, b), flops);
+            let mut n = 0;
+            for kz in lo[2]..hi[2] {
+                for ky in lo[1]..hi[1] {
+                    for kx in lo[0]..hi[0] {
+                        let i = (kz * FINE_SIDE + ky) * FINE_SIDE + kx;
+                        prop_assert_eq!(compact[n].to_bits(), full[i].to_bits());
+                        n += 1;
+                    }
+                }
+            }
+            prop_assert_eq!(n, compact.len());
         }
     }
 }
