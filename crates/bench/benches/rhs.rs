@@ -1,6 +1,11 @@
 //! Criterion bench: BSSN RHS per-patch cost — the 210 derivatives alone,
 //! then the whole RHS with the handwritten `A` and with the three
 //! generated tapes (Fig. 11 / Table II microbenchmark).
+//!
+//! The whole-RHS rows run `bssn_rhs_patch`, the entry the solver calls,
+//! at the host's vector tier (`gw_par::Isa::host`). The derivatives row
+//! calls `DerivWorkspace::compute` directly, so it times the baseline
+//! (SSE2) build of the stencils.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gw_bssn::rhs::{bssn_rhs_patch, RhsMode, RhsWorkspace};

@@ -7,24 +7,27 @@
 //! schedule; the speedup column is measured by executing the three tapes
 //! over a batch of grid points (the working-set/locality effect the
 //! paper attributes to reduced spilling). The host time is given both
-//! per point (`Tape::eval_into`) and lane-batched (`Tape::eval_lanes`
-//! over `gw_bssn::rhs::LANES` points, as the solver runs it). A last row
-//! times the handwritten `A` the same two ways: `bssn_rhs_point` on `f64`
-//! and on `Lanes<LANES>`.
+//! per point (`Tape::eval_into`, the baseline build) and lane-batched
+//! (`Tape::eval_lanes` over `gw_bssn::rhs::LANES` points at the host's
+//! vector tier, the entry the solver runs). A last row times the
+//! handwritten `A` the same two ways: `bssn_rhs_point` on `f64` and
+//! `bssn_rhs_lanes_at` on `Lanes<LANES>` at the host's tier.
 
 use gw_bench::table::num;
 use gw_bench::TablePrinter;
-use gw_bssn::rhs::LANES;
+use gw_bssn::rhs::{bssn_rhs_lanes_at, LANES};
 use gw_bssn::{bssn_rhs_point, Lanes};
 use gw_expr::bssn::{build_bssn_rhs, BssnParams};
 use gw_expr::schedule::{schedule, ScheduleStrategy};
 use gw_expr::symbols::{NUM_INPUTS, NUM_OUTPUTS};
 use gw_expr::tape::Tape;
+use gw_par::Isa;
 use std::hint::black_box;
 use std::time::Instant;
 
 fn main() {
     let rhs = build_bssn_rhs(BssnParams::default());
+    println!("host vector tier: {} (lane-batched columns run at it)", Isa::host());
     let (nodes, edges) = rhs.graph.graph_stats(&rhs.outputs);
     println!("BSSN A-component DAG: {nodes} nodes, {edges} edges (paper: 2516 nodes, 6708 edges)");
     println!(
@@ -136,11 +139,11 @@ fn main() {
     let mut lane_out = vec![Lanes([0.0; LANES]); NUM_OUTPUTS];
     let batches = n_points / LANES;
     for _ in 0..100 / LANES + 1 {
-        bssn_rhs_point(&lane_inputs, &mut lane_out, &params);
+        bssn_rhs_lanes_at(Isa::host(), &lane_inputs, &mut lane_out, &params);
     }
     let t0 = Instant::now();
     for _ in 0..batches {
-        bssn_rhs_point(black_box(&lane_inputs), &mut lane_out, &params);
+        bssn_rhs_lanes_at(Isa::host(), black_box(&lane_inputs), &mut lane_out, &params);
     }
     let per_lane_pt = t0.elapsed().as_secs_f64() / (batches * LANES) as f64 * 1e9;
     assert_eq!(

@@ -37,12 +37,13 @@ impl DerivWorkspace {
         Self { data: vec![[0.0; BLOCK_VOLUME]; NUM_DERIV_BLOCKS], ops: DerivOps::new(1.0) }
     }
 
-    #[inline]
+    #[inline(always)]
     fn block_mut(&mut self, input_slot: usize) -> &mut [f64] {
         &mut self.data[input_slot - NUM_VARS]
     }
 
     /// The distinct blocks of derivative slots `slots`, all borrowed at once.
+    #[inline(always)]
     fn blocks_mut<const K: usize>(&mut self, slots: [usize; K]) -> [&mut [f64]; K] {
         self.data
             .get_disjoint_mut(slots.map(|s| s - NUM_VARS))
@@ -77,6 +78,7 @@ impl DerivWorkspace {
     /// The model is what the Fig. 14 arithmetic intensity and the
     /// `bssn.deriv_gflop` metric are defined on, so it stays fixed when
     /// the kernels get cheaper.
+    #[inline(always)]
     pub fn compute(&mut self, patches: &[&[f64]], h: f64) -> u64 {
         assert_eq!(patches.len(), NUM_VARS);
         let ops = self.ops.with_spacing(h);

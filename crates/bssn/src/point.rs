@@ -13,6 +13,7 @@ use gw_expr::symbols::{input_d1, input_d2, input_ko, input_value, var, NUM_INPUT
 
 /// Evaluate the BSSN RHS at one grid point (`R = f64`) or at a batch of
 /// points, one per lane (`R = Lanes<L>`, bit-identical per lane).
+#[inline(always)]
 pub fn bssn_rhs_point<R: Real>(u: &[R], out: &mut [R], params: &BssnParams) {
     debug_assert!(u.len() >= NUM_INPUTS);
     debug_assert!(out.len() >= NUM_OUTPUTS);

@@ -8,6 +8,13 @@
 //! [`Real::splat`] in the positions the scalar code has them, so lane `l`
 //! of a batch is bit-identical to the `f64` evaluation of point `l`
 //! (DESIGN.md §15).
+//!
+//! `Lanes` carries no vector type of its own: its lane loops are plain
+//! `[f64; L]` loops that LLVM vectorizes at the target features of the
+//! function they are inlined into. Inside the solver's tiered entries
+//! ([`bssn_rhs_lanes_at`](crate::rhs::bssn_rhs_lanes_at) and the octant step)
+//! that is SSE2, AVX2 or AVX-512F, whichever the host has, with the same
+//! bits on each (DESIGN.md §18).
 
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 

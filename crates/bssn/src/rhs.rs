@@ -4,13 +4,17 @@
 //! the 24 padded patches, then run the `A` component at each of the `r^3`
 //! points — either the handwritten pointwise code or a generated tape
 //! (the SymPyGR / binary-reduce / staged+CSE variants of Table II).
+//!
+//! The octant step and both `A` batches are compiled once per vector tier
+//! and run at the host's ([`Isa::host`], DESIGN.md §18).
 
 use crate::derivs::{fields_at, DerivWorkspace};
 use crate::point::bssn_rhs_point;
 use crate::real::Lanes;
 use gw_expr::bssn::BssnParams;
 use gw_expr::symbols::{var, NUM_INPUTS, NUM_VARS};
-use gw_expr::tape::Tape;
+use gw_expr::tape::{eval_lanes_at, Tape};
+use gw_par::Isa;
 use gw_stencil::patch::{PatchLayout, BLOCK_VOLUME, PADDING};
 
 /// Points the `A` component evaluates per batch: the handwritten `A` on
@@ -21,7 +25,8 @@ use gw_stencil::patch::{PatchLayout, BLOCK_VOLUME, PADDING};
 /// leave it dominant, and 128 outgrows the cache. The lane buffers are
 /// (234 inputs + 24 outputs + 144 slots) × `LANES` × 8 B ≈ 0.1 MB. The
 /// octant's 343 points make 10 full batches and one partial batch (see
-/// DESIGN.md §13).
+/// DESIGN.md §13). A lane row is 16 SSE2, 8 AVX2 or 4 AVX-512 registers
+/// wide, so no vector tier has a remainder loop (§18).
 pub const LANES: usize = 32;
 
 /// Which `A` implementation to run.
@@ -83,6 +88,7 @@ impl RhsWorkspace {
     /// inputs: field values from the patch interiors with the χ floor
     /// applied, derivatives as one slice copy per block. Lanes `n..` repeat
     /// the last real point, so every lane computes on real data.
+    #[inline(always)]
     fn gather_lanes(&mut self, patches: &[&[f64]], chi_floor: f64, p0: usize, n: usize) {
         let (o, p) = (PatchLayout::octant(), PatchLayout::padded());
         for l in 0..LANES {
@@ -101,11 +107,41 @@ impl RhsWorkspace {
     }
 }
 
-/// Evaluate the BSSN RHS on one octant.
+/// Evaluate the BSSN RHS on one octant, at the host's vector width
+/// ([`Isa::host`]; bit-identical on every tier, DESIGN.md §18).
 ///
 /// `patches[v]` is variable `v`'s padded patch, `out[v]` the `r^3` RHS
 /// block to fill. Returns (derivative flops, `A` flops).
 pub fn bssn_rhs_patch(
+    patches: &[&[f64]],
+    h: f64,
+    params: &BssnParams,
+    mode: &RhsMode<'_>,
+    ws: &mut RhsWorkspace,
+    out: &mut [&mut [f64]],
+) -> (u64, u64) {
+    bssn_rhs_patch_at(Isa::host(), patches, h, params, mode, ws, out)
+}
+
+gw_par::isa_dispatch! {
+    /// [`bssn_rhs_patch`] compiled for tier `isa`.
+    pub(crate) fn bssn_rhs_patch_at(
+        isa: Isa,
+        patches: &[&[f64]],
+        h: f64,
+        params: &BssnParams,
+        mode: &RhsMode<'_>,
+        ws: &mut RhsWorkspace,
+        out: &mut [&mut [f64]],
+    ) -> (u64, u64) = rhs_patch_body;
+}
+
+/// One octant's derivatives, lane gathers, `A` batches and write-back,
+/// inlined into each tier of [`bssn_rhs_patch_at`]. Either `A` runs
+/// through its own tiered entry, at the same tier (DESIGN.md §18).
+#[inline(always)]
+fn rhs_patch_body(
+    isa: Isa,
     patches: &[&[f64]],
     h: f64,
     params: &BssnParams,
@@ -128,18 +164,42 @@ pub fn bssn_rhs_patch(
         let n = LANES.min(BLOCK_VOLUME - p0);
         ws.gather_lanes(patches, params.chi_floor, p0, n);
         match mode {
-            RhsMode::Pointwise => bssn_rhs_point(
+            RhsMode::Pointwise => bssn_rhs_lanes_at(
+                isa,
                 Lanes::from_arrays(&ws.lane_inputs),
                 Lanes::from_arrays_mut(&mut ws.lane_out),
                 params,
             ),
-            RhsMode::Tape(t) => t.eval_lanes(&ws.lane_inputs, &mut ws.lane_out, &mut ws.lane_slots),
+            RhsMode::Tape(t) => {
+                eval_lanes_at(isa, t, &ws.lane_inputs, &mut ws.lane_out, &mut ws.lane_slots)
+            }
         }
         for v in 0..NUM_VARS {
             out[v][p0..p0 + n].copy_from_slice(&ws.lane_out[v][..n]);
         }
     }
     (d_flops, a_flops * BLOCK_VOLUME as u64)
+}
+
+gw_par::isa_dispatch! {
+    /// The handwritten `A` on one batch of [`LANES`] points, compiled for
+    /// tier `isa`: the entry the pointwise RHS runs per batch.
+    pub fn bssn_rhs_lanes_at(
+        isa: Isa,
+        u: &[Lanes<LANES>],
+        out: &mut [Lanes<LANES>],
+        params: &BssnParams,
+    ) = bssn_rhs_lanes_body;
+}
+
+#[inline(always)]
+fn bssn_rhs_lanes_body(
+    _isa: Isa,
+    u: &[Lanes<LANES>],
+    out: &mut [Lanes<LANES>],
+    params: &BssnParams,
+) {
+    bssn_rhs_point(u, out, params);
 }
 
 #[cfg(test)]
@@ -297,6 +357,62 @@ mod tests {
         assert_eq!(a_flops, 2200 * BLOCK_VOLUME as u64);
         let eval = |u: &[f64], o: &mut [f64]| bssn_rhs_point(u, o, &params);
         assert_matches_per_point(&refs, &params, &ws, &out, eval, "pointwise");
+    }
+
+    #[test]
+    fn isa_tiers_match_baseline_bitwise() {
+        let h = 0.05;
+        let params = BssnParams::default();
+        let mut patches = chi_floored_patches(h, &params);
+        // Signed zeros in a shift component, the trace K and χ itself
+        // (where the floor replaces them), so the tiers' handling of the
+        // sign of zero is compared too.
+        let p = PatchLayout::padded();
+        for (n, (i, j, k)) in p.iter().enumerate() {
+            let zero = if n % 2 == 0 { 0.0 } else { -0.0 };
+            for v in [var::beta(1), var::K, var::CHI] {
+                if (n + v) % 11 == 0 {
+                    patches[v][p.idx(i, j, k)] = zero;
+                }
+            }
+        }
+        let refs: Vec<&[f64]> = patches.iter().map(|p| p.as_slice()).collect();
+        let rhs = build_bssn_rhs(params);
+        let tapes: Vec<Tape> = ScheduleStrategy::all()
+            .into_iter()
+            .map(|s| Tape::compile(&rhs.graph, &schedule(&rhs.graph, &rhs.outputs, s), 56))
+            .collect();
+        let mut modes = vec![(RhsMode::Pointwise, 1, "pointwise")];
+        modes.extend(tapes.iter().map(|t| (RhsMode::Tape(t), t.n_slots, t.strategy_name)));
+        let run = |isa: Isa, mode: &RhsMode<'_>, max_slots: usize| {
+            let mut ws = RhsWorkspace::new(max_slots);
+            let mut out: Vec<Vec<f64>> = vec![vec![0.0; BLOCK_VOLUME]; NUM_VARS];
+            let mut views: Vec<&mut [f64]> = out.iter_mut().map(|v| v.as_mut_slice()).collect();
+            let flops = bssn_rhs_patch_at(isa, &refs, h, &params, mode, &mut ws, &mut views);
+            (flops, out)
+        };
+        for (mode, max_slots, label) in &modes {
+            let (base_flops, base) = run(Isa::Baseline, mode, *max_slots);
+            for isa in Isa::ALL {
+                if !isa.is_available() {
+                    println!("tier {isa} not available on this host: skipped");
+                    continue;
+                }
+                let (flops, got) = run(isa, mode, *max_slots);
+                assert_eq!(flops, base_flops, "{isa} {label}");
+                for v in 0..NUM_VARS {
+                    for pt in 0..BLOCK_VOLUME {
+                        let (a, b) = (got[v][pt], base[v][pt]);
+                        assert!(b.is_finite(), "{label} var {v} pt {pt}: {b}");
+                        assert_eq!(
+                            a.to_bits(),
+                            b.to_bits(),
+                            "{isa} {label} var {v} pt {pt}: {a} vs {b}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -80,13 +80,14 @@ fn main() {
     // The CLI flag overrides the `obs.profile` par key.
     let profile = profile_flag.or_else(|| params.profile.clone());
     println!(
-        "bssn_solver: q = {}, d = {}, domain ±{}, levels {}..{}, backend = {}",
+        "bssn_solver: q = {}, d = {}, domain ±{}, levels {}..{}, backend = {}, simd = {}",
         params.q,
         params.separation,
         params.domain_half,
         params.base_level,
         params.finest_level,
-        if params.config.use_gpu { "gpu-sim" } else { "cpu" }
+        if params.config.use_gpu { "gpu-sim" } else { "cpu" },
+        gw_par::Isa::host()
     );
 
     // Initial data (the tpid substitute) and puncture-refined grid.

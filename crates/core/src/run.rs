@@ -323,7 +323,9 @@ impl<'a> Run<'a> {
     }
 
     /// Write the trace if a sink was requested; hard error if profiling
-    /// was requested but the obs layer is compiled out.
+    /// was requested but the obs layer is compiled out. The summary
+    /// carries the host's vector tier as `"isa"` ahead of `extra`, so a
+    /// trace says which build of the kernels produced its timings.
     fn write_trace(
         &self,
         probe: &Probe,
@@ -335,8 +337,10 @@ impl<'a> Run<'a> {
             error: "observability is disabled (probe off or the `obs` feature compiled out)"
                 .to_string(),
         })?;
+        let mut sections = vec![("isa", Value::Str(gw_par::Isa::host().name().to_string()))];
+        sections.extend_from_slice(extra);
         trace
-            .write_to(std::path::Path::new(path), extra)
+            .write_to(std::path::Path::new(path), &sections)
             .map_err(|e| RunError::Trace { path: path.clone(), error: e.to_string() })?;
         Ok(Some(path.clone()))
     }
@@ -580,6 +584,9 @@ mod tests {
         let stats = gw_obs::json::validate_trace(&text).expect("trace must be schema-valid");
         assert!(stats.step_coverage >= 0.9, "phases cover steps: {}", stats.step_coverage);
         assert_eq!(stats.counters.get("steps"), Some(&2.0));
+        let doc = gw_obs::json::parse(&text).unwrap();
+        let isa = doc.get("summary").and_then(|s| s.get("isa")).and_then(Value::as_str);
+        assert_eq!(isa, Some(gw_par::Isa::host().name()), "the trace names the kernels' tier");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

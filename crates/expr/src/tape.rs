@@ -15,6 +15,7 @@
 use crate::graph::{ExprGraph, NodeId, Op};
 use crate::regalloc::{simulate_spills, SpillStats};
 use crate::schedule::Schedule;
+use gw_par::Isa;
 use std::collections::HashMap;
 
 /// One tape instruction. `dst`/`a`/`b` are temporary-slot indices;
@@ -252,9 +253,12 @@ impl Tape {
 
     /// Evaluate the tape for one point. `slots` must have `n_slots`
     /// capacity and is reused across calls (the hot-loop workhorse
-    /// buffer). This is [`Tape::eval_lanes`] with a single lane.
+    /// buffer). This is [`Tape::eval_lanes`] with a single lane, compiled
+    /// for [`Isa::Baseline`]: the per-point reference of every tier.
     pub fn eval_into(&self, inputs: &[f64], outputs: &mut [f64], slots: &mut [f64]) {
-        self.eval_lanes::<1>(
+        eval_lanes_body::<1>(
+            Isa::Baseline,
+            self,
             inputs.as_chunks().0,
             outputs.as_chunks_mut().0,
             slots.as_chunks_mut().0,
@@ -266,33 +270,18 @@ impl Tape {
     /// `outputs` and the `n_slots` temporaries in `slots`.
     ///
     /// Each instruction is dispatched once per batch; under it runs a
-    /// branch-free loop over the lanes that the compiler can vectorize.
-    /// Every lane executes the same IEEE operations in the same order as
-    /// a one-point evaluation of its own inputs, so the results are
-    /// bit-identical to [`Tape::eval_into`] point by point.
+    /// branch-free loop over the lanes that the compiler vectorizes, at
+    /// the host's vector width ([`Isa::host`]). Every lane executes the
+    /// same IEEE operations in the same order as a one-point evaluation
+    /// of its own inputs, so the results are bit-identical to
+    /// [`Tape::eval_into`] point by point, on every tier.
     pub fn eval_lanes<const L: usize>(
         &self,
         inputs: &[[f64; L]],
         outputs: &mut [[f64; L]],
         slots: &mut [[f64; L]],
     ) {
-        debug_assert!(slots.len() >= self.n_slots);
-        debug_assert!(outputs.len() >= self.n_outputs);
-        for ins in &self.instrs {
-            match *ins {
-                TapeInstr::Const { dst, c } => {
-                    slots[dst as usize] = [self.constants[c as usize]; L]
-                }
-                TapeInstr::Input { dst, i } => slots[dst as usize] = inputs[i as usize],
-                TapeInstr::Add { dst, a, b } => lanes2(slots, dst, a, b, |x, y| x + y),
-                TapeInstr::Sub { dst, a, b } => lanes2(slots, dst, a, b, |x, y| x - y),
-                TapeInstr::Mul { dst, a, b } => lanes2(slots, dst, a, b, |x, y| x * y),
-                TapeInstr::Div { dst, a, b } => lanes2(slots, dst, a, b, |x, y| x / y),
-                TapeInstr::Neg { dst, a } => lanes1(slots, dst, a, |x| -x),
-                TapeInstr::Powi { dst, a, n } => lanes1(slots, dst, a, |x| x.powi(n as i32)),
-                TapeInstr::Output { o, a } => outputs[o as usize] = slots[a as usize],
-            }
-        }
+        eval_lanes_at(Isa::host(), self, inputs, outputs, slots);
     }
 
     /// Convenience single-point evaluation with fresh buffers.
@@ -301,6 +290,49 @@ impl Tape {
         let mut slots = vec![0.0; self.n_slots];
         self.eval_into(inputs, &mut out, &mut slots);
         out
+    }
+}
+
+gw_par::isa_dispatch! {
+    /// [`Tape::eval_lanes`] compiled for tier `isa`, for a caller that
+    /// already runs at that tier (the lane-batched RHS) and for the tier
+    /// tests. Panics if the host does not support `isa`.
+    ///
+    /// The interpreter is its own out-of-line function per tier: inlined
+    /// into the RHS body that calls it, it ran at half the speed of the
+    /// baseline build (DESIGN.md §18).
+    pub fn eval_lanes_at<const L: usize>(
+        isa: Isa,
+        tape: &Tape,
+        inputs: &[[f64; L]],
+        outputs: &mut [[f64; L]],
+        slots: &mut [[f64; L]],
+    ) = eval_lanes_body;
+}
+
+/// The interpreter loop of [`Tape::eval_lanes`], inlined into each tier.
+#[inline(always)]
+fn eval_lanes_body<const L: usize>(
+    _isa: Isa,
+    tape: &Tape,
+    inputs: &[[f64; L]],
+    outputs: &mut [[f64; L]],
+    slots: &mut [[f64; L]],
+) {
+    debug_assert!(slots.len() >= tape.n_slots);
+    debug_assert!(outputs.len() >= tape.n_outputs);
+    for ins in &tape.instrs {
+        match *ins {
+            TapeInstr::Const { dst, c } => slots[dst as usize] = [tape.constants[c as usize]; L],
+            TapeInstr::Input { dst, i } => slots[dst as usize] = inputs[i as usize],
+            TapeInstr::Add { dst, a, b } => lanes2(slots, dst, a, b, |x, y| x + y),
+            TapeInstr::Sub { dst, a, b } => lanes2(slots, dst, a, b, |x, y| x - y),
+            TapeInstr::Mul { dst, a, b } => lanes2(slots, dst, a, b, |x, y| x * y),
+            TapeInstr::Div { dst, a, b } => lanes2(slots, dst, a, b, |x, y| x / y),
+            TapeInstr::Neg { dst, a } => lanes1(slots, dst, a, |x| -x),
+            TapeInstr::Powi { dst, a, n } => lanes1(slots, dst, a, |x| x.powi(n as i32)),
+            TapeInstr::Output { o, a } => outputs[o as usize] = slots[a as usize],
+        }
     }
 }
 
@@ -473,10 +505,10 @@ mod proptests {
         })
     }
 
-    /// Evaluate `points` (one input vector each) in batches of `L` lanes,
-    /// the last partial batch padded with its last real point, and return
-    /// the outputs of the real points.
-    fn eval_batched<const L: usize>(tape: &Tape, points: &[Vec<f64>]) -> Vec<Vec<f64>> {
+    /// Evaluate `points` (one input vector each) in batches of `L` lanes
+    /// at tier `isa`, the last partial batch padded with its last real
+    /// point, and return the outputs of the real points.
+    fn eval_batched<const L: usize>(tape: &Tape, isa: Isa, points: &[Vec<f64>]) -> Vec<Vec<f64>> {
         let mut inputs = vec![[0.0; L]; tape.n_inputs];
         let mut outputs = vec![[0.0; L]; tape.n_outputs];
         let mut slots = vec![[0.0; L]; tape.n_slots];
@@ -487,10 +519,72 @@ mod proptests {
                     *x = batch[l.min(batch.len() - 1)][i];
                 }
             }
-            tape.eval_lanes(&inputs, &mut outputs, &mut slots);
+            eval_lanes_at(isa, tape, &inputs, &mut outputs, &mut slots);
             got.extend((0..batch.len()).map(|l| outputs.iter().map(|o| o[l]).collect()));
         }
         got
+    }
+
+    /// Near-flat points (unit lapse, χ and conformal-metric diagonal plus
+    /// `noise`), so every output is finite.
+    fn near_flat_points(noise: &[f64]) -> Vec<Vec<f64>> {
+        use crate::symbols::{input_value, var};
+        noise
+            .chunks_exact(NUM_INPUTS)
+            .map(|u| {
+                let mut u = u.to_vec();
+                for v in [var::ALPHA, var::CHI, var::gt(0, 0), var::gt(1, 1), var::gt(2, 2)] {
+                    u[input_value(v)] += 1.0;
+                }
+                u
+            })
+            .collect()
+    }
+
+    #[test]
+    fn eval_lanes_tiers_match_eval_into_bitwise() {
+        // 75 points: two full 32-lane batches and a partial one. Every
+        // seventh input is a signed zero, so sign-of-zero handling is
+        // compared too.
+        let mut seed = 0x7e1e_5eedu64;
+        let noise: Vec<f64> = (0..75 * NUM_INPUTS)
+            .map(|i| {
+                seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                match i % 7 {
+                    0 => 0.0,
+                    3 => -0.0,
+                    _ => ((seed >> 33) as f64 / (1u64 << 31) as f64 - 1.0) * 0.05,
+                }
+            })
+            .collect();
+        let points = near_flat_points(&noise);
+        for isa in Isa::ALL {
+            if !isa.is_available() {
+                println!("tier {isa} not available on this host: skipped");
+                continue;
+            }
+            for tape in bssn_tapes() {
+                let got = eval_batched::<32>(tape, isa, &points);
+                let mut out = vec![0.0; tape.n_outputs];
+                let mut slots = vec![0.0; tape.n_slots];
+                for (p, u) in points.iter().enumerate() {
+                    tape.eval_into(u, &mut out, &mut slots);
+                    for (o, (a, b)) in got[p].iter().zip(&out).enumerate() {
+                        assert!(
+                            b.is_finite(),
+                            "{} point {p} output {o}: {b:e}",
+                            tape.strategy_name
+                        );
+                        assert_eq!(
+                            a.to_bits(),
+                            b.to_bits(),
+                            "{isa} {} point {p} output {o}: {a:e} vs {b:e}",
+                            tape.strategy_name
+                        );
+                    }
+                }
+            }
+        }
     }
 
     proptest! {
@@ -499,25 +593,14 @@ mod proptests {
         fn eval_lanes_matches_per_point_eval_bitwise(
             noise in prop::collection::vec(-0.05f64..0.05, NUM_INPUTS..NUM_INPUTS * 20),
         ) {
-            use crate::symbols::{input_value, var};
-            // Near-flat points: unit lapse, χ and conformal-metric
-            // diagonal plus noise, so every output is finite.
-            let points: Vec<Vec<f64>> = noise
-                .chunks_exact(NUM_INPUTS)
-                .map(|u| {
-                    let mut u = u.to_vec();
-                    for v in [var::ALPHA, var::CHI, var::gt(0, 0), var::gt(1, 1), var::gt(2, 2)] {
-                        u[input_value(v)] += 1.0;
-                    }
-                    u
-                })
-                .collect();
+            let points = near_flat_points(&noise);
             for tape in bssn_tapes() {
                 let mut out = vec![0.0; tape.n_outputs];
                 let mut slots = vec![0.0; tape.n_slots];
                 // Lane counts that leave a partial last batch for most
                 // point counts, including an odd one.
-                for got in [eval_batched::<8>(tape, &points), eval_batched::<7>(tape, &points)] {
+                let host = Isa::host();
+                for got in [eval_batched::<8>(tape, host, &points), eval_batched::<7>(tape, host, &points)] {
                     prop_assert_eq!(got.len(), points.len());
                     for (p, u) in points.iter().enumerate() {
                         tape.eval_into(u, &mut out, &mut slots);

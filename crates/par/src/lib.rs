@@ -19,6 +19,10 @@
 //!   reductions (constraint norms, residuals) do not depend on which
 //!   worker finished first.
 //!
+//! The crate also holds the other half of the host runtime: [`isa`],
+//! the host's vector tier and the macro that compiles a kernel once per
+//! tier.
+//!
 //! The build environment has no registry access (see `vendor/README.md`),
 //! so this replaces `rayon`; the API is deliberately tiny and can be
 //! re-based on rayon mechanically if the registry becomes available.
@@ -27,7 +31,9 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
+pub mod isa;
 mod slice;
+pub use isa::Isa;
 pub use slice::UnsafeSlice;
 
 /// Upper bound on the worker count accepted by [`resolve_threads`].

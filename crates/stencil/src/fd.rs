@@ -121,6 +121,7 @@ pub(crate) type Stencil<'a> = (&'a [f64; 7], f64);
 /// into its own `[f64; r]` row, then scales it. Per point this is the
 /// per-point loop's `0.0 + w₀p₋₃ + … + w₆p₃`, then `× scale`, so each
 /// output is bit-identical to it (DESIGN.md §15).
+#[inline(always)]
 pub(crate) fn stencil_rows<const N: usize>(
     axis: usize,
     patch: &[f64],
@@ -174,6 +175,7 @@ impl DerivOps {
 
     /// The same weight tables bound to spacing `h`: no Fornberg run, so a
     /// caller that builds the tables once can rebind them per octant.
+    #[inline(always)]
     pub fn with_spacing(&self, h: f64) -> Self {
         assert!(h > 0.0 && h.is_finite());
         Self { inv_h: 1.0 / h, ..*self }
@@ -194,6 +196,7 @@ impl DerivOps {
     /// second derivative into `d2` when given, and the Kreiss–Oliger
     /// derivative ([`crate::ko::ko_deriv_axis`]) into `ko`. Each block is
     /// bit-identical to its own single-stencil call.
+    #[inline(always)]
     pub fn axis_pass(
         &self,
         axis: usize,
@@ -267,6 +270,7 @@ impl DerivOps {
     /// `inner` values and summation order, so the result is bit-identical
     /// to it, while each `inner` sum is computed once for the 7 output
     /// points along `a` that share it.
+    #[inline(always)]
     pub fn deriv_mixed(&self, a: usize, b: usize, patch: &[f64], out: &mut [f64]) {
         assert_ne!(a, b, "use deriv2 for pure second derivatives");
         const N: usize = POINTS_PER_SIDE;
@@ -299,6 +303,7 @@ impl DerivOps {
 
     /// The inner `b`-sums of [`DerivOps::deriv_mixed`] over the slab
     /// `lo + [0, ext)`, whose rows are `W = ext[0]` points long.
+    #[inline(always)]
     fn mixed_inner<const W: usize>(
         &self,
         b: usize,
