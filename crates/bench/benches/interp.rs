@@ -1,10 +1,11 @@
 //! Criterion bench: stencil and interpolation kernels.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use gw_par::Isa;
 use gw_stencil::fd::DerivOps;
-use gw_stencil::interp::{ProlongWorkspace, Prolongation, FINE_SIDE};
+use gw_stencil::interp::{FineBox, ProlongWorkspace, Prolongation, FINE_SIDE};
 use gw_stencil::ko::ko_dissipation;
-use gw_stencil::patch::{PatchLayout, BLOCK_VOLUME, PATCH_VOLUME};
+use gw_stencil::patch::{BLOCK_VOLUME, PATCH_VOLUME};
 
 fn bench_kernels(c: &mut Criterion) {
     let mut group = c.benchmark_group("stencil");
@@ -24,13 +25,17 @@ fn bench_kernels(c: &mut Criterion) {
         b.iter(|| ko_dissipation(0.4, 20.0, &patch, &mut out))
     });
 
+    // The full-block prolongation (the gpu-sim o2p kernel's), at the
+    // baseline tier and at the host's (DESIGN.md §19).
     let prolong = Prolongation::new();
     let coarse = vec![1.0; BLOCK_VOLUME];
     let mut fine = vec![0.0; FINE_SIDE * FINE_SIDE * FINE_SIDE];
     let mut ws = ProlongWorkspace::new();
-    group.bench_function("prolong3d", |b| {
-        b.iter(|| prolong.prolong3d_ws(&coarse, &mut fine, &mut ws))
-    });
+    for isa in [Isa::Baseline, Isa::host()] {
+        group.bench_function(format!("prolong3d-{isa}"), |b| {
+            b.iter(|| prolong.prolong_box_into_at(isa, &coarse, &mut fine, &mut ws, FineBox::FULL))
+        });
+    }
 
     // All 210 derivatives of one octant (the paper's per-octant load).
     let mut dws = gw_bssn::DerivWorkspace::new();
@@ -38,8 +43,6 @@ fn bench_kernels(c: &mut Criterion) {
     let refs: Vec<&[f64]> = patches.iter().map(|p| p.as_slice()).collect();
     group.bench_function("all-210-derivatives", |b| b.iter(|| dws.compute(&refs, 0.05)));
 
-    let l = PatchLayout::octant();
-    let _ = l;
     group.finish();
 }
 

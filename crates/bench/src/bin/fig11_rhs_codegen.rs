@@ -1,5 +1,5 @@
-//! Fig. 11 regenerator: time per octant for 10 RHS evaluations with the
-//! three code-generation strategies, on the simulated A100, for a range
+//! Fig. 11 regenerator: time per octant for 3 RHS evaluations (the
+//! paper times 10) with the three code-generation strategies, on the simulated A100, for a range
 //! of octant counts.
 
 use gw_bench::table::num;
@@ -72,6 +72,6 @@ fn main() {
             ]);
         }
     }
-    t.print("Fig. 11 — RHS codegen strategies, 10 evaluations (simulated A100)");
+    t.print("Fig. 11 — RHS codegen strategies, 3 evaluations (simulated A100)");
     println!("\nPaper: binary-reduce 1.55x, staged+CSE 1.76x over the SymPyGR baseline.");
 }

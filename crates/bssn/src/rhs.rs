@@ -37,6 +37,47 @@ pub enum RhsMode<'a> {
     Tape(&'a Tape),
 }
 
+/// One lane row on a cache-line boundary. A 256-byte row is a whole
+/// number of 64-byte lines, so every row of a `Vec<LaneRow>` starts on
+/// one too.
+#[derive(Clone, Copy)]
+#[repr(C, align(64))]
+struct LaneRow([f64; LANES]);
+
+const _: () = assert!(std::mem::size_of::<LaneRow>() == std::mem::size_of::<[f64; LANES]>());
+
+/// Lane rows that start on a cache line whatever the heap layout, viewed
+/// as `[[f64; LANES]]`. With a plain `Vec<[f64; LANES]>` (8-byte
+/// aligned) the tiers' 32- and 64-byte lane loads split cache lines or
+/// not depending on what the thread allocated before: the same tape ran
+/// 15–35 % slower on the gpu-sim RHS after an unrelated allocation
+/// moved (DESIGN.md §19).
+struct LaneRows(Vec<LaneRow>);
+
+impl LaneRows {
+    fn zeros(n: usize) -> Self {
+        Self(vec![LaneRow([0.0; LANES]); n])
+    }
+}
+
+impl std::ops::Deref for LaneRows {
+    type Target = [[f64; LANES]];
+
+    fn deref(&self) -> &Self::Target {
+        // SAFETY: `LaneRow` is `repr(C)` around one `[f64; LANES]` with
+        // no padding (asserted above), so the rows are that many
+        // contiguous arrays; the view borrows `self`.
+        unsafe { std::slice::from_raw_parts(self.0.as_ptr().cast(), self.0.len()) }
+    }
+}
+
+impl std::ops::DerefMut for LaneRows {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        // SAFETY: as in `deref`; the view holds `self`'s unique borrow.
+        unsafe { std::slice::from_raw_parts_mut(self.0.as_mut_ptr().cast(), self.0.len()) }
+    }
+}
+
 /// Scratch buffers for one octant's RHS evaluation.
 pub struct RhsWorkspace {
     pub derivs: DerivWorkspace,
@@ -44,9 +85,9 @@ pub struct RhsWorkspace {
     inputs: Vec<f64>,
     point_out: Vec<f64>,
     /// A batch of [`LANES`] points, structure-of-arrays, for either `A`.
-    lane_inputs: Vec<[f64; LANES]>,
-    lane_out: Vec<[f64; LANES]>,
-    lane_slots: Vec<[f64; LANES]>,
+    lane_inputs: LaneRows,
+    lane_out: LaneRows,
+    lane_slots: LaneRows,
 }
 
 impl RhsWorkspace {
@@ -57,9 +98,9 @@ impl RhsWorkspace {
             derivs: DerivWorkspace::new(),
             inputs: vec![0.0; NUM_INPUTS],
             point_out: vec![0.0; NUM_VARS],
-            lane_inputs: vec![[0.0; LANES]; NUM_INPUTS],
-            lane_out: vec![[0.0; LANES]; NUM_VARS],
-            lane_slots: vec![[0.0; LANES]; max_slots.max(1)],
+            lane_inputs: LaneRows::zeros(NUM_INPUTS),
+            lane_out: LaneRows::zeros(NUM_VARS),
+            lane_slots: LaneRows::zeros(max_slots.max(1)),
         }
     }
 
@@ -166,13 +207,17 @@ fn rhs_patch_body(
         match mode {
             RhsMode::Pointwise => bssn_rhs_lanes_at(
                 isa,
-                Lanes::from_arrays(&ws.lane_inputs),
-                Lanes::from_arrays_mut(&mut ws.lane_out),
+                Lanes::from_arrays(&ws.lane_inputs[..]),
+                Lanes::from_arrays_mut(&mut ws.lane_out[..]),
                 params,
             ),
-            RhsMode::Tape(t) => {
-                eval_lanes_at(isa, t, &ws.lane_inputs, &mut ws.lane_out, &mut ws.lane_slots)
-            }
+            RhsMode::Tape(t) => eval_lanes_at(
+                isa,
+                t,
+                &ws.lane_inputs[..],
+                &mut ws.lane_out[..],
+                &mut ws.lane_slots[..],
+            ),
         }
         for v in 0..NUM_VARS {
             out[v][p0..p0 + n].copy_from_slice(&ws.lane_out[v][..n]);

@@ -166,7 +166,7 @@ impl OctantRhs {
         probe: &Probe,
     ) -> (u64, u64) {
         self.with_workspace(probe, |ws| {
-            halo.gather(mesh, input, e, &mut ws.patches);
+            halo.gather(input, e, &mut ws.patches);
             let patches: [&[f64]; NUM_VARS] =
                 std::array::from_fn(|v| &ws.patches[v * PATCH_VOLUME..(v + 1) * PATCH_VOLUME]);
             self.eval_in(mesh, e, &patches, out, &mut ws.rhs)
@@ -821,6 +821,52 @@ mod tests {
         assert!(d.spill_load_bytes > 0, "generated kernel must report spills");
         // The RHS is bandwidth bound: AI well below the A100 ridge.
         assert!(d.arithmetic_intensity() < 10.0);
+
+        // One o2p on an adaptive mesh meters exactly the device model,
+        // computed from the mesh alone. Per (octant, variable) block: the
+        // octant and the interpolation table loaded, the octant staged
+        // through shared memory and stored as its patch interior, a
+        // prolonging block's whole fine block through shared memory, and
+        // one store per scattered point. Per (boundary region, variable)
+        // block: one load and one store per point.
+        use gw_stencil::interp::{Prolongation, FINE_SIDE};
+        use gw_stencil::patch::{PADDING, POINTS_PER_SIDE};
+        let mesh = adaptive_mesh();
+        let mut gpu =
+            GpuBackend::new(&mesh, BssnParams::default(), RhsKind::Pointwise, Device::a100());
+        gpu.upload(&wavey_state(&mesh));
+        let before = gpu.counters();
+        gpu.o2p_raw(&mesh, Buf::U);
+        let d = gpu.counters().delta_since(&before);
+        let n = mesh.n_octants();
+        let region = |delta: [i8; 3]| -> usize {
+            delta.iter().map(|&c| if c == 0 { POINTS_PER_SIDE } else { PADDING }).product()
+        };
+        let boundary: usize = mesh.boundary_regions.iter().map(|&(_, delta)| region(delta)).sum();
+        let per_op: usize = mesh
+            .scatter
+            .iter()
+            .map(|op| {
+                let mut points = 0;
+                gw_mesh::scatter::for_each_scatter_point(op, |_, _| points += 1);
+                points
+            })
+            .sum();
+        // The write partition: every padding point outside a boundary
+        // region has exactly one incoming op.
+        assert_eq!(per_op, n * (PATCH_VOLUME - BLOCK_VOLUME) - boundary);
+        let prolonging = (0..n)
+            .filter(|&e| {
+                mesh.scatter_of(e).iter().any(|op| op.kind == gw_mesh::ScatterKind::Prolong)
+            })
+            .count();
+        assert!(boundary > 0 && prolonging > 0);
+        let table = Prolongation::new().table_len();
+        let bytes = |values: usize| (8 * NUM_VARS * values) as u64;
+        assert_eq!(d.launches, 2, "octant-to-patch and boundary fill");
+        assert_eq!(d.global_load_bytes, bytes(n * (BLOCK_VOLUME + table) + boundary));
+        assert_eq!(d.global_store_bytes, bytes(n * BLOCK_VOLUME + per_op + boundary));
+        assert_eq!(d.shared_bytes, bytes(n * BLOCK_VOLUME + prolonging * FINE_SIDE.pow(3)));
     }
 
     #[test]

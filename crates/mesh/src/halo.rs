@@ -8,8 +8,9 @@
 //! block its `Prolong` ops read), into one flat buffer. Then
 //! [`ProlongedHalo::gather`] assembles one octant's padded patches at a
 //! time into a staging buffer the caller owns, reading `Same`/`Inject`
-//! values from the source blocks and `Prolong` values from the halo. No
-//! full-mesh patch field exists.
+//! values from the source blocks and `Prolong` values from the halo. It
+//! replays row walks resolved once, when the halo is built, so no op is
+//! re-derived per octant and variable. No full-mesh patch field exists.
 //!
 //! Every value is bit-identical to [`crate::scatter::fill_patches_scatter`]
 //! plus [`crate::scatter::fill_boundary_padding`]: a box-restricted
@@ -20,10 +21,10 @@
 
 use crate::field::Field;
 use crate::grid::{Mesh, ScatterKind};
-use crate::scatter::{for_each_boundary_point, for_each_scatter_row, prolong_union};
+use crate::scatter::{prolong_union, RowWalk};
 use gw_par::{tree_reduce, ThreadPool, UnsafeSlice};
 use gw_stencil::interp::{FineBox, ProlongWorkspace, Prolongation};
-use gw_stencil::patch::{PATCH_VOLUME, POINTS_PER_SIDE};
+use gw_stencil::patch::{BLOCK_VOLUME, PATCH_VOLUME, POINTS_PER_SIDE};
 use std::cell::RefCell;
 use std::ops::Range;
 
@@ -31,54 +32,126 @@ use std::ops::Range;
 const NO_SLOT: u32 = u32::MAX;
 
 /// The prolonged boxes of a set of coarse source octants, for all `dof`
-/// variables, in one flat buffer: source `s`'s box `b` holds variable
-/// `v` at `offsets[s] + v·|b|`, x fastest within the box.
+/// variables, in one flat buffer, variable-major: variable `v` of source
+/// slot `s` (box `b`) sits at `v·var_len + offsets[s]`, x fastest within
+/// the box. Also holds the gather plan of every destination.
 pub struct ProlongedHalo {
     dof: usize,
+    n_oct: usize,
     prolong: Prolongation,
     /// Per octant id: its slot in `sources`, or [`NO_SLOT`].
     slot_of: Vec<u32>,
     /// The source octants, ascending.
     sources: Vec<u32>,
-    /// Per slot: the prolonged box and the start of its values.
+    /// Per slot: the prolonged box and its start within one variable.
     boxes: Vec<FineBox>,
     offsets: Vec<usize>,
+    /// Values of one variable over every slot.
+    var_len: usize,
     data: Vec<f64>,
+    plan: GatherPlan,
+}
+
+/// The gather of every destination octant, resolved once: the
+/// [`RowWalk`]s of its incoming ops, against the field's per-variable
+/// storage (`Same`/`Inject`) or the halo's (`Prolong`), then those of
+/// its physical-boundary regions. Every index is variable-independent,
+/// so one plan serves all `dof` variables.
+struct GatherPlan {
+    dsts: Range<usize>,
+    walks: Vec<RowWalk>,
+    /// Destination `dsts.start + d` reads the field through
+    /// `walks[starts[3d]..starts[3d + 1]]`, the halo through the next
+    /// range, and fills its boundary padding from its own patch through
+    /// the third.
+    starts: Vec<u32>,
+}
+
+impl GatherPlan {
+    fn new(
+        mesh: &Mesh,
+        dsts: Range<usize>,
+        slot_of: &[u32],
+        boxes: &[FineBox],
+        offsets: &[usize],
+    ) -> Self {
+        const R: usize = POINTS_PER_SIDE;
+        let shift = |mut w: RowWalk, by: usize| {
+            w.src = u32::try_from(w.src as usize + by).expect("gather source index fits u32");
+            w
+        };
+        let n_walks = dsts.clone().map(|e| mesh.gather_of(e).len() + mesh.boundary_of(e).len());
+        let mut walks = Vec::with_capacity(n_walks.sum());
+        let mut starts = Vec::with_capacity(3 * dsts.len() + 1);
+        starts.push(0u32);
+        let mut close = |walks: &Vec<RowWalk>| starts.push(walks.len() as u32);
+        for e in dsts.clone() {
+            let ops = mesh.gather_of(e);
+            for op in ops.iter().filter(|op| op.kind != ScatterKind::Prolong) {
+                let w = RowWalk::scatter(op, [0; 3], [R, R]);
+                walks.extend((w.points() > 0).then(|| shift(w, op.src as usize * BLOCK_VOLUME)));
+            }
+            close(&walks);
+            for op in ops.iter().filter(|op| op.kind == ScatterKind::Prolong) {
+                let s = slot_of[op.src as usize] as usize;
+                let b = boxes[s];
+                let w = RowWalk::scatter(op, b.lo, [b.hi[0] - b.lo[0], b.hi[1] - b.lo[1]]);
+                walks.extend((w.points() > 0).then(|| shift(w, offsets[s])));
+            }
+            close(&walks);
+            walks.extend(mesh.boundary_of(e).iter().map(|&(_, delta)| RowWalk::boundary(delta)));
+            close(&walks);
+        }
+        Self { dsts, walks, starts }
+    }
+
+    /// Destination `e`'s walks over the field, over the halo and within
+    /// its patch.
+    fn of(&self, e: usize) -> [&[RowWalk]; 3] {
+        assert!(self.dsts.contains(&e), "octant {e} is not a destination of this halo");
+        let d = 3 * (e - self.dsts.start);
+        [0, 1, 2].map(|g| &self.walks[self.starts[d + g] as usize..self.starts[d + g + 1] as usize])
+    }
 }
 
 impl ProlongedHalo {
     /// The halo feeding every `Prolong` op whose destination lies in
-    /// `dsts`: one [`prolong_union`] box per source of such an op. The
-    /// whole mesh (`0..n`) for a single-rank backend; a rank's owned
-    /// range, whose sources include ghosts, for a distributed one.
+    /// `dsts`: one [`prolong_union`] box per source of such an op, and
+    /// the gather plan of every destination in `dsts`. The whole mesh
+    /// (`0..n`) for a single-rank backend; a rank's owned range, whose
+    /// sources include ghosts, for a distributed one.
     pub fn new(mesh: &Mesh, dof: usize, dsts: Range<usize>) -> Self {
         let n = mesh.n_octants();
         let mut is_source = vec![false; n];
-        for b in dsts {
+        for b in dsts.clone() {
             for op in mesh.gather_of(b).iter().filter(|op| op.kind == ScatterKind::Prolong) {
                 is_source[op.src as usize] = true;
             }
         }
         let mut slot_of = vec![NO_SLOT; n];
         let (mut sources, mut boxes, mut offsets) = (Vec::new(), Vec::new(), Vec::new());
-        let mut len = 0;
+        let mut var_len = 0;
         for e in (0..n).filter(|&e| is_source[e]) {
             let b =
                 prolong_union(mesh.scatter_of(e)).expect("every Prolong op reads a non-empty box");
             slot_of[e] = sources.len() as u32;
             sources.push(e as u32);
             boxes.push(b);
-            offsets.push(len);
-            len += dof * b.volume();
+            offsets.push(var_len);
+            var_len += b.volume();
         }
+        let plan = GatherPlan::new(mesh, dsts, &slot_of, &boxes, &offsets);
         Self {
             dof,
+            n_oct: n,
             prolong: Prolongation::new(),
             slot_of,
             sources,
             boxes,
             offsets,
-            data: vec![0.0; len],
+            var_len,
+            data: vec![0.0; dof * var_len],
+            plan,
         }
     }
 
@@ -97,7 +170,7 @@ impl ProlongedHalo {
             static WS: RefCell<Option<ProlongWorkspace>> = const { RefCell::new(None) };
         }
         assert!(sources.windows(2).all(|w| w[0] < w[1]), "halo sources must be ascending");
-        let Self { dof, prolong, slot_of, boxes, offsets, data, .. } = self;
+        let Self { dof, prolong, slot_of, boxes, offsets, var_len, data, .. } = self;
         let out = UnsafeSlice::new(data);
         let flops = pool.map(sources.len(), |i| {
             let e = sources[i] as usize;
@@ -110,9 +183,9 @@ impl ProlongedHalo {
                 let ws = borrow.get_or_insert_with(ProlongWorkspace::new);
                 (0..*dof)
                     .map(|var| {
-                        // Safety: sources are distinct, so slot `s` (and
-                        // this range of it) belongs to this task alone.
-                        let dst = unsafe { out.slice_mut(off + var * v, v) };
+                        // Safety: sources are distinct, so slot `s` of
+                        // every variable belongs to this task alone.
+                        let dst = unsafe { out.slice_mut(var * *var_len + off, v) };
                         prolong.prolong_box_into(field.block(var, e), dst, ws, b)
                     })
                     .sum::<u64>()
@@ -122,39 +195,30 @@ impl ProlongedHalo {
     }
 
     /// Assemble octant `e`'s `dof` padded patches of `field` into
-    /// `staging` (variable-major, `dof × PATCH_VOLUME`): the interior
-    /// copy, each incoming op of [`Mesh::gather_of`] — `Same`/`Inject`
-    /// read from the source block, `Prolong` from the source's box, which
-    /// [`ProlongedHalo::fill`] must have filled from `field` — then the
-    /// physical-boundary padding, which copies interior points. `mesh`
-    /// is the mesh the halo was built for. Reads only, so any number of
-    /// threads may gather concurrently.
-    pub fn gather(&self, mesh: &Mesh, field: &Field, e: usize, staging: &mut [f64]) {
-        const R: usize = POINTS_PER_SIDE;
+    /// `staging` (variable-major, `dof × PATCH_VOLUME`) by replaying its
+    /// gather plan for each variable: the interior copy, the walks of its
+    /// `Same`/`Inject` ops over the source blocks, those of its `Prolong`
+    /// ops over the halo — which [`ProlongedHalo::fill`] must have filled
+    /// from `field` — then the physical-boundary padding, which copies
+    /// interior points. `e` must lie in the halo's destination range.
+    /// Reads only, so any number of threads may gather concurrently.
+    pub fn gather(&self, field: &Field, e: usize, staging: &mut [f64]) {
         assert_eq!(staging.len(), self.dof * PATCH_VOLUME);
+        assert_eq!((field.dof, field.n_oct), (self.dof, self.n_oct), "field of another mesh");
+        let [from_field, from_halo, within] = self.plan.of(e);
+        let field_len = self.n_oct * BLOCK_VOLUME;
         for (var, patch) in staging.chunks_exact_mut(PATCH_VOLUME).enumerate() {
+            let values = &field.as_slice()[var * field_len..][..field_len];
+            let boxes = &self.data[var * self.var_len..][..self.var_len];
             gw_stencil::patch::octant_to_patch_interior(field.block(var, e), patch);
-            for op in mesh.gather_of(e) {
-                let (src, origin, dims) = if op.kind == ScatterKind::Prolong {
-                    let s = self.slot_of[op.src as usize] as usize;
-                    let (b, v) = (self.boxes[s], self.boxes[s].volume());
-                    let values = &self.data[self.offsets[s] + var * v..][..v];
-                    (values, b.lo, [b.hi[0] - b.lo[0], b.hi[1] - b.lo[1]])
-                } else {
-                    (field.block(var, op.src as usize), [0; 3], [R, R])
-                };
-                for_each_scatter_row(op, origin, dims, |dst, s, len, step| {
-                    if step == 1 {
-                        patch[dst..dst + len].copy_from_slice(&src[s..s + len]);
-                    } else {
-                        for i in 0..len {
-                            patch[dst + i] = src[s + step * i];
-                        }
-                    }
-                });
+            for w in from_field {
+                w.copy(values, patch);
             }
-            for &(_, delta) in mesh.boundary_of(e) {
-                for_each_boundary_point(delta, |dst, src| patch[dst] = patch[src]);
+            for w in from_halo {
+                w.copy(boxes, patch);
+            }
+            for w in within {
+                w.copy_within(patch);
             }
         }
     }
@@ -243,7 +307,7 @@ mod tests {
                     }
                     let gathered = pool.map(dsts.len(), |i| {
                         let mut staging = vec![f64::NAN; dof * PATCH_VOLUME];
-                        halo.gather(&mesh, &f, dsts.start + i, &mut staging);
+                        halo.gather(&f, dsts.start + i, &mut staging);
                         staging
                     });
                     for (e, staging) in dsts.clone().zip(&gathered) {
@@ -255,6 +319,52 @@ mod tests {
                             );
                         }
                     }
+                }
+            }
+        }
+    }
+
+    /// A rank fills its halo in two calls, its owned sources and then the
+    /// ghost sources, as the distributed driver does around
+    /// `finish_exchange`. Every gathered patch must be bit-identical to
+    /// one whole fill and to the serial scatter oracle, even when the
+    /// halo held stale values of another field before.
+    #[test]
+    fn split_fill_matches_whole_fill_and_serial_scatter_bitwise() {
+        for mesh in [corner_mesh(2), corner_mesh(4)] {
+            let n = mesh.n_octants();
+            let dof = 3;
+            let f = sin_field(&mesh, dof);
+            let mut stale = f.clone();
+            stale.as_mut_slice().iter_mut().for_each(|v| *v = -*v - 1.0);
+            let mut p_ref = PatchField::zeros(dof, n);
+            p_ref.fill(f64::NAN);
+            fill_patches_scatter(&mesh, &f, &mut p_ref);
+            fill_boundary_padding(&mesh, &mut p_ref, dof);
+            let owned = 0..n / 2;
+            let pool = ThreadPool::new(2);
+            let mut whole = ProlongedHalo::new(&mesh, dof, owned.clone());
+            let mut split = ProlongedHalo::new(&mesh, dof, owned.clone());
+            let sources = whole.sources().to_vec();
+            let (mine, ghosts): (Vec<u32>, Vec<u32>) =
+                sources.iter().partition(|&&s| owned.contains(&(s as usize)));
+            assert!(!mine.is_empty() && !ghosts.is_empty(), "{mine:?} / {ghosts:?}");
+            let flops = whole.fill(&f, &sources, &pool);
+            split.fill(&stale, &sources, &pool);
+            assert_eq!(split.fill(&f, &mine, &pool) + split.fill(&f, &ghosts, &pool), flops);
+            let bits = |s: &[f64]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let mut a = vec![f64::NAN; dof * PATCH_VOLUME];
+            let mut b = vec![f64::NAN; dof * PATCH_VOLUME];
+            for e in owned {
+                whole.gather(&f, e, &mut a);
+                split.gather(&f, e, &mut b);
+                assert_eq!(bits(&b), bits(&a), "octant {e}: split vs whole fill");
+                for var in 0..dof {
+                    assert_eq!(
+                        bits(&b[var * PATCH_VOLUME..][..PATCH_VOLUME]),
+                        bits(p_ref.patch(var, e)),
+                        "octant {e} var {var}: split fill vs serial scatter"
+                    );
                 }
             }
         }

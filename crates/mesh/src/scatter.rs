@@ -9,7 +9,7 @@ use crate::field::{Field, PatchField};
 use crate::grid::{Mesh, ScatterKind, ScatterOp};
 use gw_par::{ThreadPool, UnsafeSlice};
 use gw_stencil::interp::{FineBox, ProlongWorkspace, Prolongation, FINE_SIDE};
-use gw_stencil::patch::{PatchLayout, PADDING, POINTS_PER_SIDE};
+use gw_stencil::patch::{PatchLayout, PADDING, PATCH_SIDE, POINTS_PER_SIDE};
 
 /// Per-axis padded-patch index range of the padding region in direction
 /// `delta` (−1 → `[0,3)`, 0 → `[3,10)`, +1 → `[10,13)`).
@@ -49,59 +49,180 @@ fn axis_walk(op: &ScatterOp, a: usize) -> AxisWalk {
         // j = off + (p − 3) into the prolonged (2r−1)^3 block.
         ScatterKind::Prolong => (1, off - 3, FINE_SIDE as i32 - 1),
     };
-    let src = |p: usize| step * p as i32 + base;
-    // `src` is increasing in `p`, so the readable coordinates form one
-    // contiguous run of the region.
-    let lo = range.clone().find(|&p| src(p) >= 0).unwrap_or(range.end);
-    let hi = range.clone().rev().find(|&p| src(p) <= top).map_or(lo, |p| p + 1).max(lo);
-    debug_assert!(op.kind != ScatterKind::Same || (lo..hi) == range, "same ops read whole regions");
-    AxisWalk { src0: src(lo).max(0) as usize, dst: lo..hi, step: step as usize }
+    // `step·p + base` is increasing in `p`, so the readable coordinates
+    // form one contiguous run of the region: `p ≥ ⌈−base/step⌉` keeps the
+    // source at or above 0, `p ≤ ⌊(top − base)/step⌋` at or below `top`.
+    let (start, end) = (range.start as i32, range.end as i32);
+    let lo = (step - 1 - base).div_euclid(step).clamp(start, end);
+    let hi = ((top - base).div_euclid(step) + 1).min(end).max(lo);
+    debug_assert!(
+        op.kind != ScatterKind::Same || (lo..hi) == (start..end),
+        "same ops read whole regions"
+    );
+    AxisWalk {
+        src0: (step * lo + base).max(0) as usize,
+        dst: lo as usize..hi as usize,
+        step: step as usize,
+    }
 }
 
-/// Walk one scatter op row by row: for every x-row of the destination
-/// region it writes, `visit(dst_idx, src_idx, len, step)` gets the
-/// row's first padded-patch index, its first source index, its length
-/// and the source stride along x. Source coordinates are taken relative
-/// to `origin` in a box of x/y extent `dims` (x fastest): `[0; 3]` and
-/// the block side for a whole source block, a `FineBox`'s corner and
-/// extents for a compactly stored prolonged box. Every scatter and
-/// gather kernel, and the build-time write-partition check, walks ops
-/// through this one function.
-#[inline]
-pub fn for_each_scatter_row(
-    op: &ScatterOp,
-    origin: [usize; 3],
-    dims: [usize; 2],
-    mut visit: impl FnMut(usize, usize, usize, usize),
-) {
-    let p = PatchLayout::padded();
-    let [x, y, z] = [0, 1, 2].map(|a| axis_walk(op, a));
-    let len = x.dst.len();
-    if len == 0 {
-        return;
-    }
-    for (kz, pz) in z.dst.enumerate() {
-        let sz = z.src0 + z.step * kz - origin[2];
-        for (ky, py) in y.dst.clone().enumerate() {
-            let sy = y.src0 + y.step * ky - origin[1];
-            let src = (sz * dims[1] + sy) * dims[0] + x.src0 - origin[0];
-            visit(p.idx(x.dst.start, py, pz), src, len, x.step);
+/// One padding region's copy, resolved to x-rows: row `(y, z)` writes
+/// the `len` padded-patch points from index `dst + (z·13 + y)·13` on,
+/// reading source index `src + y·src_stride[0] + z·src_stride[1]` on at
+/// stride `step` along x. A scatter op's walk reads a source block or
+/// prolonged box ([`RowWalk::scatter`]); a physical-boundary region's
+/// reads the patch it writes ([`RowWalk::boundary`]). Every scatter,
+/// gather and boundary kernel, and the build-time write-partition check,
+/// walks through this one type; [`crate::halo::ProlongedHalo`] stores
+/// its walks resolved (16 bytes each).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RowWalk {
+    /// Source index of the first row's first point.
+    pub src: u32,
+    /// Padded-patch index of the first row's first point.
+    pub dst: u16,
+    /// Source index stride between consecutive y-rows and z-planes.
+    pub src_stride: [u16; 2],
+    /// Points per row.
+    pub len: u8,
+    /// Source stride along x: 1 (`Same`, `Prolong`, boundary rows along
+    /// x), 2 (`Inject`) or 0 (a boundary row that repeats one point).
+    pub step: u8,
+    /// Rows along y and along z.
+    pub rows: [u8; 2],
+}
+
+// The gather plan's memory is 16 bytes per walk (DESIGN.md §19).
+const _: () = assert!(std::mem::size_of::<RowWalk>() == 16);
+
+impl RowWalk {
+    /// The walk of scatter op `op`. Source coordinates are taken relative
+    /// to `origin` in a box of x/y extent `dims` (x fastest): `[0; 3]` and
+    /// the block side for a whole source block (`r` for `Same`/`Inject`,
+    /// `2r − 1` for a full prolonged block), a `FineBox`'s corner and
+    /// extents for a compactly stored prolonged box. An op that reads
+    /// nothing gets a walk of no rows.
+    pub fn scatter(op: &ScatterOp, origin: [usize; 3], dims: [usize; 2]) -> RowWalk {
+        let [x, y, z] = [0, 1, 2].map(|a| axis_walk(op, a));
+        if [&x, &y, &z].iter().any(|w| w.dst.is_empty()) {
+            return RowWalk { src: 0, dst: 0, src_stride: [0; 2], len: 0, step: 1, rows: [0; 2] };
         }
+        let src =
+            ((z.src0 - origin[2]) * dims[1] + y.src0 - origin[1]) * dims[0] + x.src0 - origin[0];
+        RowWalk {
+            src: src as u32,
+            dst: PatchLayout::padded().idx(x.dst.start, y.dst.start, z.dst.start) as u16,
+            src_stride: [y.step * dims[0], z.step * dims[0] * dims[1]].map(|s| s as u16),
+            len: x.dst.len() as u8,
+            step: x.step as u8,
+            rows: [y.dst.len() as u8, z.dst.len() as u8],
+        }
+    }
+
+    /// The walk of physical-boundary padding region `delta`: each point
+    /// copies the patch-interior point nearest to it (constant
+    /// extrapolation; the physical boundary is in the wave zone where
+    /// fields are smooth and the Sommerfeld RHS dominates). Along an axis
+    /// where `delta` is 0 the source follows the destination; along the
+    /// others it stays on the interior's last plane.
+    pub fn boundary(delta: [i8; 3]) -> RowWalk {
+        let p = PatchLayout::padded();
+        let clamp = |t: usize| t.clamp(PADDING, PADDING + POINTS_PER_SIDE - 1);
+        let [x, y, z] = [0, 1, 2].map(|a| region_range(delta[a]));
+        let follows = delta.map(|d| usize::from(d == 0));
+        RowWalk {
+            src: p.idx(clamp(x.start), clamp(y.start), clamp(z.start)) as u32,
+            dst: p.idx(x.start, y.start, z.start) as u16,
+            src_stride: [follows[1] * PATCH_SIDE, follows[2] * PATCH_SIDE * PATCH_SIDE]
+                .map(|s| s as u16),
+            len: x.len() as u8,
+            step: follows[0] as u8,
+            rows: [y.len() as u8, z.len() as u8],
+        }
+    }
+
+    /// Points the walk writes.
+    pub fn points(&self) -> usize {
+        self.len as usize * self.rows[0] as usize * self.rows[1] as usize
+    }
+
+    /// `visit(dst, src)` with the first destination and source index of
+    /// every row.
+    #[inline]
+    pub fn for_each_row(&self, mut visit: impl FnMut(usize, usize)) {
+        let [sy, sz] = self.src_stride.map(usize::from);
+        for z in 0..self.rows[1] as usize {
+            for y in 0..self.rows[0] as usize {
+                let dst = self.dst as usize + (z * PATCH_SIDE + y) * PATCH_SIDE;
+                visit(dst, self.src as usize + z * sz + y * sy);
+            }
+        }
+    }
+
+    /// `visit(dst, src)` for every point the walk copies.
+    #[inline]
+    pub fn for_each_point(&self, mut visit: impl FnMut(usize, usize)) {
+        let (len, step) = (self.len as usize, self.step as usize);
+        self.for_each_row(|dst, src| {
+            for i in 0..len {
+                visit(dst + i, src + step * i);
+            }
+        });
+    }
+
+    /// Copy the walk's rows from `src` into `patch`: one slice copy per
+    /// row at source stride 1, of a fixed length for the region widths
+    /// `k = 3` and `r = 7` that almost every row has.
+    #[inline]
+    pub fn copy(&self, src: &[f64], patch: &mut [f64]) {
+        match (self.step, self.len as usize) {
+            (1, PADDING) => self.copy_rows::<PADDING>(src, patch),
+            (1, POINTS_PER_SIDE) => self.copy_rows::<POINTS_PER_SIDE>(src, patch),
+            (1, len) => self.for_each_row(|d, s| {
+                patch[d..d + len].copy_from_slice(&src[s..s + len]);
+            }),
+            (step, len) => self.for_each_row(|d, s| {
+                for (i, v) in patch[d..d + len].iter_mut().enumerate() {
+                    *v = src[s + step as usize * i];
+                }
+            }),
+        }
+    }
+
+    /// [`RowWalk::copy`] of a stride-1 walk with rows of `N` points.
+    #[inline(always)]
+    fn copy_rows<const N: usize>(&self, src: &[f64], patch: &mut [f64]) {
+        self.for_each_row(|d, s| {
+            let row: &[f64; N] = src[s..s + N].try_into().expect("row of N points");
+            patch[d..d + N].copy_from_slice(row);
+        });
+    }
+
+    /// [`RowWalk::copy`] with the source in `patch` itself, for a
+    /// [`RowWalk::boundary`] walk: its sources lie in the patch interior,
+    /// which it never writes.
+    #[inline]
+    pub fn copy_within(&self, patch: &mut [f64]) {
+        let (len, step) = (self.len as usize, self.step as usize);
+        self.for_each_row(|d, s| {
+            if step == 1 {
+                patch.copy_within(s..s + len, d);
+            } else {
+                let v = patch[s];
+                patch[d..d + len].fill(v);
+            }
+        });
     }
 }
 
 /// Enumerate the `(dst_idx, src_idx)` point pairs of one scatter op.
 /// `dst_idx` indexes the destination's padded patch; `src_idx` indexes the
 /// source's `r^3` block for `Same`/`Inject` and the prolonged `(2r−1)^3`
-/// block for `Prolong`. The point view of [`for_each_scatter_row`].
+/// block for `Prolong`. The point view of [`RowWalk::scatter`].
 #[inline]
-pub fn for_each_scatter_point(op: &ScatterOp, mut visit: impl FnMut(usize, usize)) {
+pub fn for_each_scatter_point(op: &ScatterOp, visit: impl FnMut(usize, usize)) {
     let side = if op.kind == ScatterKind::Prolong { FINE_SIDE } else { POINTS_PER_SIDE };
-    for_each_scatter_row(op, [0; 3], [side, side], |dst, src, len, step| {
-        for i in 0..len {
-            visit(dst + i, src + step * i);
-        }
-    });
+    RowWalk::scatter(op, [0; 3], [side, side]).for_each_point(visit);
 }
 
 /// The fine sub-box of the source's prolonged `(2r−1)^3` block that a
@@ -127,23 +248,25 @@ pub fn prolong_union(ops: &[ScatterOp]) -> Option<FineBox> {
         .reduce(FineBox::hull)
 }
 
-/// Execute one scatter op for one variable. `src_block` is the source
-/// octant's `r^3` data; `fine13` must hold the source's prolonged
-/// `(2r−1)^3` block when `kind == Prolong` (pass anything otherwise).
-/// Returns (points written, flops).
+/// Execute one scatter op for one variable, one row copy per x-row of
+/// its [`RowWalk`]. `src_block` is the source octant's `r^3` data;
+/// `fine13` must hold the source's prolonged `(2r−1)^3` block when
+/// `kind == Prolong` (pass anything otherwise). Returns (points written,
+/// flops).
 pub fn apply_scatter_op(
     op: &ScatterOp,
     src_block: &[f64],
     fine13: &[f64],
     dst_patch: &mut [f64],
 ) -> (u64, u64) {
-    let src = if op.kind == ScatterKind::Prolong { fine13 } else { src_block };
-    let mut written = 0u64;
-    for_each_scatter_point(op, |dst_idx, src_idx| {
-        dst_patch[dst_idx] = src[src_idx];
-        written += 1;
-    });
-    (written, 0)
+    let (src, side) = if op.kind == ScatterKind::Prolong {
+        (fine13, FINE_SIDE)
+    } else {
+        (src_block, POINTS_PER_SIDE)
+    };
+    let walk = RowWalk::scatter(op, [0; 3], [side, side]);
+    walk.copy(src, dst_patch);
+    (walk.points() as u64, 0)
 }
 
 /// Octant-to-patch via **loop-over-octants** (the paper's approach):
@@ -234,23 +357,12 @@ pub fn sync_interfaces_par(mesh: &Mesh, field: &mut Field, pool: &ThreadPool) {
 
 /// Enumerate the `(dst_idx, src_idx)` point pairs of one
 /// physical-boundary padding region `delta`: each padded-patch point of
-/// the region and the interior point nearest to it, which it copies
-/// (constant extrapolation; the physical boundary is in the wave zone
-/// where fields are smooth and the Sommerfeld RHS dominates). Every
-/// source lies in the patch interior, which no region writes, so regions
-/// can be filled in any order. Like [`for_each_scatter_point`], this one
-/// walk backs every boundary-fill kernel.
+/// the region and the interior point it copies ([`RowWalk::boundary`]).
+/// Every source lies in the patch interior, which no region writes, so
+/// regions can be filled in any order.
 #[inline]
-pub fn for_each_boundary_point(delta: [i8; 3], mut visit: impl FnMut(usize, usize)) {
-    let p = PatchLayout::padded();
-    let clamp = |t: usize| t.clamp(PADDING, PADDING + POINTS_PER_SIDE - 1);
-    for pz in region_range(delta[2]) {
-        for py in region_range(delta[1]) {
-            for px in region_range(delta[0]) {
-                visit(p.idx(px, py, pz), p.idx(clamp(px), clamp(py), clamp(pz)));
-            }
-        }
-    }
+pub fn for_each_boundary_point(delta: [i8; 3], visit: impl FnMut(usize, usize)) {
+    RowWalk::boundary(delta).for_each_point(visit);
 }
 
 /// Fill the domain-boundary padding regions of every patch by

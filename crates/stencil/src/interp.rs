@@ -11,6 +11,7 @@
 //! (Eq. 20).
 
 use crate::patch::{PatchLayout, POINTS_PER_SIDE};
+use gw_par::Isa;
 
 /// Fine points along a refined edge: `2r − 1`.
 pub const FINE_SIDE: usize = 2 * POINTS_PER_SIDE - 1;
@@ -137,10 +138,25 @@ pub fn inject_1d(fine: &[f64], coarse: &mut [f64]) {
     }
 }
 
-/// Reusable temporaries for [`Prolongation::prolong3d_ws`].
+/// Lanes of a row-form pass: the `2r − 1 = 13` fine points of an x-row,
+/// rounded up to two AVX-512 registers. Lanes `FINE_SIDE..` carry zero
+/// weights and are never stored.
+const LANES: usize = 16;
+
+/// One x-row of a row-form pass, on cache-line boundaries (two lines),
+/// so no tier's row load splits a line whatever the heap layout
+/// (DESIGN.md §19).
+#[derive(Clone, Copy)]
+#[repr(C, align(64))]
+struct Row([f64; LANES]);
+
+/// Reusable temporaries for [`Prolongation::prolong3d_ws`]: the x-rows
+/// the first two passes produce.
 pub struct ProlongWorkspace {
-    t1: Vec<f64>,
-    t2: Vec<f64>,
+    /// Pass 1: row `kz·r + ky` holds fine x over coarse `(ky, kz)`.
+    t1: Vec<Row>,
+    /// Pass 2: row `kz·(2r−1) + j` holds fine `(x, j)` over coarse `kz`.
+    t2: Vec<Row>,
 }
 
 impl Default for ProlongWorkspace {
@@ -152,14 +168,18 @@ impl Default for ProlongWorkspace {
 impl ProlongWorkspace {
     pub fn new() -> Self {
         let r = POINTS_PER_SIDE;
-        let f = FINE_SIDE;
-        Self { t1: vec![0.0; f * r * r], t2: vec![0.0; f * f * r] }
+        let zero = Row([0.0; LANES]);
+        Self { t1: vec![zero; r * r], t2: vec![zero; r * FINE_SIDE] }
     }
 }
 
 /// Precomputed tensor-product prolongation operator.
 pub struct Prolongation {
-    rows: Vec<[f64; POINTS_PER_SIDE]>,
+    /// Row `i`: the weights of fine point `i` over the `r` coarse points.
+    rows: [[f64; POINTS_PER_SIDE]; FINE_SIDE],
+    /// The transpose, one lane per fine point: `cols[c][i] = rows[i][c]`,
+    /// zero in the lanes past `FINE_SIDE`.
+    cols: [Row; POINTS_PER_SIDE],
 }
 
 impl Default for Prolongation {
@@ -170,7 +190,12 @@ impl Default for Prolongation {
 
 impl Prolongation {
     pub fn new() -> Self {
-        Self { rows: prolong_matrix() }
+        let rows: [[f64; POINTS_PER_SIDE]; FINE_SIDE] =
+            prolong_matrix().try_into().expect("one row per fine point");
+        let cols = std::array::from_fn(|c| {
+            Row(std::array::from_fn(|i| if i < FINE_SIDE { rows[i][c] } else { 0.0 }))
+        });
+        Self { rows, cols }
     }
 
     /// Number of f64 values in the operator table (`(2r−1) × r`), used by
@@ -196,13 +221,14 @@ impl Prolongation {
 
     /// Prolong only the fine sub-box `lo..hi` (half-open per axis) of the
     /// `(2r−1)^3` block; points of `fine` outside the box are left
-    /// untouched. The passes shrink with the box — pass 1 runs over
-    /// `x ∈ box` for all coarse `(y, z)`, pass 2 over `(x, y) ∈ box` for
-    /// all coarse `z`, pass 3 over the box — and every value inside the
-    /// box is produced by the same weights summed in the same order as in
-    /// the full prolongation, so it is bit-identical to the corresponding
-    /// point of [`Prolongation::prolong3d_ws`]. Returns the flop count
-    /// (`2r` per pass output).
+    /// untouched. The passes shrink with the box — pass 1 runs over all
+    /// coarse `(y, z)`, pass 2 over `y ∈ box` for all coarse `z`, pass 3
+    /// over `(y, z) ∈ box` — and every value inside the box is produced
+    /// by the same weights summed in the same order as in the full
+    /// prolongation, so it is bit-identical to the corresponding point of
+    /// [`Prolongation::prolong3d_ws`]. Returns the flop count (`2r` per
+    /// pass output inside the box). Runs at the host's vector width
+    /// ([`Isa::host`]; bit-identical on every tier, DESIGN.md §19).
     pub fn prolong_box_ws(
         &self,
         coarse: &[f64],
@@ -213,7 +239,8 @@ impl Prolongation {
     ) -> u64 {
         let f = FINE_SIDE;
         debug_assert_eq!(fine.len(), f * f * f);
-        self.prolong_into(coarse, fine, ws, FineBox { lo, hi }, [0; 3], [f, f])
+        let whole = Store { origin: [0; 3], nx: f, ny: f };
+        prolong_into_at(Isa::host(), self, coarse, fine, ws, FineBox { lo, hi }, whole)
     }
 
     /// [`Prolongation::prolong_box_ws`] into compact storage: `out` holds
@@ -228,77 +255,21 @@ impl Prolongation {
         ws: &mut ProlongWorkspace,
         b: FineBox,
     ) -> u64 {
-        debug_assert_eq!(out.len(), b.volume());
-        let extent = [b.hi[0].saturating_sub(b.lo[0]), b.hi[1].saturating_sub(b.lo[1])];
-        self.prolong_into(coarse, out, ws, b, b.lo, extent)
+        self.prolong_box_into_at(Isa::host(), coarse, out, ws, b)
     }
 
-    /// The three passes of [`Prolongation::prolong_box_ws`], storing fine
-    /// point `(i, j, k)` of box `b` at
-    /// `((k − origin₂)·ny + (j − origin₁))·nx + (i − origin₀)`.
-    fn prolong_into(
+    /// [`Prolongation::prolong_box_into`] compiled for tier `isa`.
+    pub fn prolong_box_into_at(
         &self,
+        isa: Isa,
         coarse: &[f64],
         out: &mut [f64],
         ws: &mut ProlongWorkspace,
         b: FineBox,
-        origin: [usize; 3],
-        [nx, ny]: [usize; 2],
     ) -> u64 {
-        let r = POINTS_PER_SIDE;
-        let f = FINE_SIDE;
-        let FineBox { lo, hi } = b;
-        debug_assert_eq!(coarse.len(), r * r * r);
-        debug_assert!(hi.iter().all(|&h| h <= f), "box {lo:?}..{hi:?} exceeds the fine block");
-        if (0..3).any(|a| lo[a] >= hi[a]) {
-            return 0;
-        }
-        let (xs, ys, zs) = (lo[0]..hi[0], lo[1]..hi[1], lo[2]..hi[2]);
-        // Pass 1: x direction, (r,r,r) -> (box x, r, r).
-        let t1 = &mut ws.t1;
-        for kz in 0..r {
-            for ky in 0..r {
-                for i in xs.clone() {
-                    let row = &self.rows[i];
-                    let mut acc = 0.0;
-                    for (c, w) in row.iter().enumerate() {
-                        acc += w * coarse[(kz * r + ky) * r + c];
-                    }
-                    t1[(kz * r + ky) * f + i] = acc;
-                }
-            }
-        }
-        // Pass 2: y direction, (box x, r, r) -> (box x, box y, r).
-        let t2 = &mut ws.t2;
-        for kz in 0..r {
-            for j in ys.clone() {
-                let row = &self.rows[j];
-                for i in xs.clone() {
-                    let mut acc = 0.0;
-                    for (c, w) in row.iter().enumerate() {
-                        acc += w * t1[(kz * r + c) * f + i];
-                    }
-                    t2[(kz * f + j) * f + i] = acc;
-                }
-            }
-        }
-        // Pass 3: z direction, (box x, box y, r) -> box.
-        for kk in zs {
-            let row = &self.rows[kk];
-            for j in ys.clone() {
-                let base = ((kk - origin[2]) * ny + (j - origin[1])) * nx;
-                for i in xs.clone() {
-                    let mut acc = 0.0;
-                    for (c, w) in row.iter().enumerate() {
-                        acc += w * t2[(c * f + j) * f + i];
-                    }
-                    out[base + i - origin[0]] = acc;
-                }
-            }
-        }
-        let [bx, by, bz] = [0, 1, 2].map(|a| (hi[a] - lo[a]) as u64);
-        let r = r as u64;
-        2 * r * (bx * r * r + bx * by * r + bx * by * bz)
+        debug_assert_eq!(out.len(), b.volume());
+        let [nx, ny] = [0, 1].map(|a| b.hi[a].saturating_sub(b.lo[a]));
+        prolong_into_at(isa, self, coarse, out, ws, b, Store { origin: b.lo, nx, ny })
     }
 
     /// Prolong directly into one child's `r^3` block (`child` is the Morton
@@ -363,6 +334,101 @@ impl Prolongation {
             }
         }
     }
+}
+
+/// Where pass 3 stores: fine point `(i, j, k)` at
+/// `((k − origin₂)·ny + (j − origin₁))·nx + (i − origin₀)`.
+#[derive(Clone, Copy)]
+struct Store {
+    origin: [usize; 3],
+    nx: usize,
+    ny: usize,
+}
+
+gw_par::isa_dispatch! {
+    /// The three row-form passes of [`Prolongation::prolong_box_ws`] over
+    /// box `b`, compiled for tier `isa`, storing as `store` says.
+    fn prolong_into_at(
+        isa: Isa,
+        p: &Prolongation,
+        coarse: &[f64],
+        out: &mut [f64],
+        ws: &mut ProlongWorkspace,
+        b: FineBox,
+        store: Store,
+    ) -> u64 = prolong_into_body;
+}
+
+/// `Σ_c w[c] · row(c)` lane by lane, starting from `0.0` and adding in
+/// `c` order: per lane, the per-point loop's `acc += w[c] * v`.
+#[inline(always)]
+fn weighted_rows<'a>(w: &[f64; POINTS_PER_SIDE], row: impl Fn(usize) -> &'a Row) -> [f64; LANES] {
+    let mut acc = [0.0; LANES];
+    for (c, &wc) in w.iter().enumerate() {
+        let src = &row(c).0;
+        for i in 0..LANES {
+            acc[i] += wc * src[i];
+        }
+    }
+    acc
+}
+
+/// Body of [`prolong_into_at`]. Each pass turns whole x-rows into whole
+/// x-rows of `LANES` accumulators. Pass 1 (x) multiplies the transposed
+/// weights `cols[c]` by coarse value `c` of the row; passes 2 (y) and
+/// 3 (z) multiply r source rows by the scalar weights of the output
+/// row's fine index. Every lane inside the box sees exactly the
+/// operations of the scalar three-pass loop — `0.0`, then `+ w·v` for
+/// `c = 0..r`, with the same two operands — so every stored value is
+/// bit-identical to it (DESIGN.md §19). Lanes outside the box are
+/// computed too, and dropped.
+#[inline(always)]
+fn prolong_into_body(
+    _isa: Isa,
+    p: &Prolongation,
+    coarse: &[f64],
+    out: &mut [f64],
+    ws: &mut ProlongWorkspace,
+    b: FineBox,
+    Store { origin, nx, ny }: Store,
+) -> u64 {
+    const R: usize = POINTS_PER_SIDE;
+    const F: usize = FINE_SIDE;
+    let FineBox { lo, hi } = b;
+    assert_eq!(coarse.len(), R * R * R);
+    assert!(hi.iter().all(|&h| h <= F), "box {lo:?}..{hi:?} exceeds the fine block");
+    if (0..3).any(|a| lo[a] >= hi[a]) {
+        return 0;
+    }
+    let ProlongWorkspace { t1, t2 } = ws;
+    // Pass 1: x direction, (r,r,r) -> (fine x, r, r).
+    for (t, src) in t1.iter_mut().zip(coarse.chunks_exact(R)) {
+        let mut acc = [0.0; LANES];
+        for (col, &v) in p.cols.iter().zip(src) {
+            for (a, &w) in acc.iter_mut().zip(&col.0) {
+                *a += w * v;
+            }
+        }
+        *t = Row(acc);
+    }
+    // Pass 2: y direction, (fine x, r, r) -> (fine x, box y, r).
+    for kz in 0..R {
+        for j in lo[1]..hi[1] {
+            t2[kz * F + j] = Row(weighted_rows(&p.rows[j], |c| &t1[kz * R + c]));
+        }
+    }
+    // Pass 3: z direction, (fine x, box y, r) -> box.
+    let n = hi[0] - lo[0];
+    for k in lo[2]..hi[2] {
+        for j in lo[1]..hi[1] {
+            let acc = weighted_rows(&p.rows[k], |c| &t2[c * F + j]);
+            let base = ((k - origin[2]) * ny + (j - origin[1])) * nx + lo[0] - origin[0];
+            out[base..base + n].copy_from_slice(&acc[lo[0]..hi[0]]);
+        }
+    }
+    let [bx, by, bz] = [0, 1, 2].map(|a| (hi[a] - lo[a]) as u64);
+    let r = R as u64;
+    2 * r * (bx * r * r + bx * by * r + bx * by * bz)
 }
 
 #[cfg(test)]
@@ -507,8 +573,115 @@ mod proptests {
             .collect()
     }
 
+    /// Random block with every `stride`-th entry a signed zero (`+0.0`,
+    /// then `-0.0`), so tiers that reorder or fuse a sum would show.
+    fn signed_zero_block(seed: u64, stride: usize) -> Vec<f64> {
+        let mut v = random_block(seed);
+        for (n, x) in v.iter_mut().step_by(stride).enumerate() {
+            *x = if n % 2 == 0 { 0.0 } else { -0.0 };
+        }
+        v
+    }
+
+    /// The scalar three-pass loop the row form replaced: one accumulator
+    /// per fine point, passes restricted to the box. The reference of
+    /// every tier.
+    fn scalar_prolong_into(
+        p: &Prolongation,
+        coarse: &[f64],
+        out: &mut [f64],
+        b: FineBox,
+        origin: [usize; 3],
+        [nx, ny]: [usize; 2],
+    ) {
+        let r = POINTS_PER_SIDE;
+        let f = FINE_SIDE;
+        let FineBox { lo, hi } = b;
+        if (0..3).any(|a| lo[a] >= hi[a]) {
+            return;
+        }
+        let (xs, ys, zs) = (lo[0]..hi[0], lo[1]..hi[1], lo[2]..hi[2]);
+        let mut t1 = vec![0.0; f * r * r];
+        let mut t2 = vec![0.0; f * f * r];
+        for kz in 0..r {
+            for ky in 0..r {
+                for i in xs.clone() {
+                    let mut acc = 0.0;
+                    for (c, w) in p.rows[i].iter().enumerate() {
+                        acc += w * coarse[(kz * r + ky) * r + c];
+                    }
+                    t1[(kz * r + ky) * f + i] = acc;
+                }
+            }
+        }
+        for kz in 0..r {
+            for j in ys.clone() {
+                for i in xs.clone() {
+                    let mut acc = 0.0;
+                    for (c, w) in p.rows[j].iter().enumerate() {
+                        acc += w * t1[(kz * r + c) * f + i];
+                    }
+                    t2[(kz * f + j) * f + i] = acc;
+                }
+            }
+        }
+        for kk in zs {
+            for j in ys.clone() {
+                let base = ((kk - origin[2]) * ny + (j - origin[1])) * nx;
+                for i in xs.clone() {
+                    let mut acc = 0.0;
+                    for (c, w) in p.rows[kk].iter().enumerate() {
+                        acc += w * t2[(c * f + j) * f + i];
+                    }
+                    out[base + i - origin[0]] = acc;
+                }
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Both storages, at every tier the host has, store exactly
+        /// what the scalar loop stores, on a random box and on the whole
+        /// block, and leave everything outside the box untouched.
+        #[test]
+        fn prolong_tiers_match_scalar_reference_bitwise(
+            seed in 0u64..u64::MAX,
+            zero_stride in 2usize..9,
+            lo in prop::array::uniform3(0usize..FINE_SIDE),
+            ext in prop::array::uniform3(0usize..FINE_SIDE + 1),
+        ) {
+            let p = Prolongation::new();
+            let coarse = signed_zero_block(seed, zero_stride);
+            let hi = [0, 1, 2].map(|a| (lo[a] + ext[a]).min(FINE_SIDE));
+            let sentinel = f64::from_bits(0x7ff8_dead_beef_0002);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let f = FINE_SIDE;
+            for b in [FineBox { lo, hi }, FineBox::FULL] {
+                let mut want_ws = vec![sentinel; f * f * f];
+                scalar_prolong_into(&p, &coarse, &mut want_ws, b, [0; 3], [f, f]);
+                let extent = [b.hi[0].saturating_sub(b.lo[0]), b.hi[1].saturating_sub(b.lo[1])];
+                let mut want_into = vec![sentinel; b.volume()];
+                scalar_prolong_into(&p, &coarse, &mut want_into, b, b.lo, extent);
+                for isa in Isa::ALL {
+                    if !isa.is_available() {
+                        println!("tier {isa} not available on this host: skipped");
+                        continue;
+                    }
+                    // The whole-block storage of `prolong_box_ws`, at `isa`.
+                    let mut ws = ProlongWorkspace::new();
+                    let mut got = vec![sentinel; f * f * f];
+                    let whole = Store { origin: [0; 3], nx: f, ny: f };
+                    let flops = prolong_into_at(isa, &p, &coarse, &mut got, &mut ws, b, whole);
+                    prop_assert!(bits(&got) == bits(&want_ws), "prolong_box_ws at {}", isa);
+                    let mut got = vec![sentinel; b.volume()];
+                    prop_assert_eq!(p.prolong_box_into_at(isa, &coarse, &mut got, &mut ws, b), flops);
+                    prop_assert!(bits(&got) == bits(&want_into), "prolong_box_into at {}", isa);
+                }
+            }
+        }
+
         #[test]
         fn prolong_box_matches_full_inside_and_leaves_outside_untouched(
             seed in 0u64..u64::MAX,
