@@ -20,7 +20,9 @@
 //!   partition and the cross-partition scatter dependencies, build the
 //!   per-rank aggregated message plan (one message per neighbor rank per
 //!   round — the aggregation ablation of DESIGN.md §5).
-//! * [`crc`] — CRC-32 used for message and checkpoint integrity.
+//! * [`crc`] — CRC-32 (slicing-by-16) used for message and checkpoint
+//!   integrity, and [`crc::CrcBuf`], which checksums bytes as they are
+//!   serialized.
 //! * [`fault`] — deterministic, seeded fault injection for the message
 //!   layer (dropped / truncated / corrupted messages), off by default.
 
@@ -29,6 +31,7 @@ pub mod fault;
 pub mod ghost;
 pub mod world;
 
+pub use crc::CrcBuf;
 pub use fault::{CommFaultPlan, FaultAction};
 pub use ghost::{GhostPlan, GhostSchedule};
-pub use world::{CommError, RankCtx, RankTraffic, RecvHandle, World, WorldConfig};
+pub use world::{CommError, Delivered, RankCtx, RankTraffic, RecvHandle, World, WorldConfig};

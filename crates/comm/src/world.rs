@@ -23,9 +23,11 @@
 //!
 //! Fault injection is off by default and the fault-free path adds only
 //! the ack bookkeeping (one outbox push + pop per message) on top of the
-//! original header CRC pass.
+//! header CRC. The CRC costs one pass per byte on each side: the sender
+//! checksums a [`CrcBuf`] as it serializes it, and the receiver verifies
+//! the payload once before anything decodes it ([`Delivered`]).
 
-use crate::crc::crc32;
+use crate::crc::{crc32, CrcBuf};
 use crate::fault::{CommFaultPlan, FaultAction};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use std::cell::Cell;
@@ -354,20 +356,47 @@ impl World {
     }
 }
 
-/// Decode a delivered payload into f64 words. A byte count that is not
-/// a multiple of 8 surfaces as a typed error instead of a panic.
-fn decode_payload(src: usize, dst: usize, tag: u64, bytes: &[u8]) -> Result<Vec<f64>, CommError> {
+/// A delivered message payload: the sender's bytes, already checked
+/// against the header's length and CRC-32, in whole f64 words. Decode it
+/// where the values are wanted ([`Delivered::decode_into`]), so no
+/// intermediate vector of words is built.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Delivered(Arc<Vec<u8>>);
+
+impl Delivered {
+    /// Payload length in f64 words.
+    pub fn words(&self) -> usize {
+        self.0.len() / 8
+    }
+
+    /// Decode words `first..first + dst.len()` into `dst`.
+    pub fn decode_into(&self, first: usize, dst: &mut [f64]) {
+        let bytes = &self.0[8 * first..8 * (first + dst.len())];
+        for (d, b) in dst.iter_mut().zip(bytes.chunks_exact(8)) {
+            *d = f64::from_le_bytes(b.try_into().expect("8-byte word"));
+        }
+    }
+
+    /// Every word, decoded.
+    pub fn to_vec(&self) -> Vec<f64> {
+        let mut out = vec![0.0; self.words()];
+        self.decode_into(0, &mut out);
+        out
+    }
+}
+
+/// Accept a verified payload as f64 words. A byte count that is not a
+/// multiple of 8 surfaces as a typed error instead of a panic.
+fn decode_payload(
+    src: usize,
+    dst: usize,
+    tag: u64,
+    bytes: Arc<Vec<u8>>,
+) -> Result<Delivered, CommError> {
     if !bytes.len().is_multiple_of(8) {
         return Err(CommError::Malformed { src, dst, tag, len: bytes.len() });
     }
-    Ok(bytes
-        .chunks_exact(8)
-        .map(|c| {
-            let mut word = [0u8; 8];
-            word.copy_from_slice(c);
-            f64::from_le_bytes(word)
-        })
-        .collect())
+    Ok(Delivered(bytes))
 }
 
 /// Progress state for one reliable receive, possibly spread over many
@@ -430,13 +459,22 @@ impl RankCtx<'_> {
         self.world.alive[self.rank].store(false, Ordering::Release);
     }
 
+    /// Point-to-point send of `payload` as little-endian f64 words; see
+    /// [`RankCtx::send_buf`].
+    pub fn send(&self, dst: usize, tag: u64, payload: &[f64]) {
+        let mut buf = CrcBuf::with_capacity(8 * payload.len());
+        buf.put_f64s(payload);
+        self.send_buf(dst, tag, buf);
+    }
+
     /// Point-to-point send, never blocking (unbounded buffering), so it
     /// doubles as the nonblocking post of the overlapped exchange. The
-    /// message carries a seq + length + CRC header and is retained in the
-    /// per-link outbox until the receiver acknowledges it, so in-flight
-    /// faults can be recovered by retransmission.
-    pub fn send(&self, dst: usize, tag: u64, payload: &[f64]) {
-        let bytes: Vec<u8> = payload.iter().flat_map(|v| v.to_le_bytes()).collect();
+    /// message carries a seq + length + CRC header (the CRC the buffer
+    /// kept while it was filled) and is retained in the per-link outbox
+    /// until the receiver acknowledges it, so in-flight faults can be
+    /// recovered by retransmission.
+    pub fn send_buf(&self, dst: usize, tag: u64, payload: CrcBuf) {
+        let (bytes, crc) = payload.into_parts();
         self.bump_heartbeat();
         let t = &self.world.traffic[self.rank];
         t.messages_sent.fetch_add(1, Ordering::Relaxed);
@@ -450,7 +488,7 @@ impl RankCtx<'_> {
             seq,
             tag,
             declared_len: bytes.len() as u64,
-            crc: crc32(&bytes),
+            crc,
             payload: Arc::new(bytes),
         };
         self.world.outbox[link].lock().unwrap().push_back(entry.clone());
@@ -524,7 +562,7 @@ impl RankCtx<'_> {
         tag: u64,
         st: &mut RecvProgress,
         wait: Duration,
-    ) -> Result<Option<Vec<f64>>, CommError> {
+    ) -> Result<Option<Delivered>, CommError> {
         let dst = self.rank;
         let size = self.world.size;
         let recv_link = dst * size + src; // reorder / recv_next index
@@ -556,7 +594,8 @@ impl RankCtx<'_> {
                 Ok(None)
             }
             Some(msg) => {
-                // In sequence: verify integrity, then the protocol.
+                // In sequence: verify integrity (the receiver's one CRC
+                // pass), then the protocol.
                 if msg.payload.len() as u64 != msg.declared_len || crc32(&msg.payload) != msg.crc {
                     self.request_retransmit(src, tag, st, true)?;
                     return Ok(None);
@@ -574,7 +613,7 @@ impl RankCtx<'_> {
                     }
                 }
                 self.world.traffic[dst].acks.fetch_add(1, Ordering::Relaxed);
-                decode_payload(src, dst, tag, &msg.payload).map(Some)
+                decode_payload(src, dst, tag, msg.payload).map(Some)
             }
             None => {
                 // Timed out on an empty channel. Dead peer that never
@@ -701,23 +740,26 @@ impl RecvHandle<'_, '_> {
     /// be called again after it has returned a payload.
     pub fn poll(&mut self) -> Result<Option<Vec<f64>>, CommError> {
         debug_assert!(!self.done, "RecvHandle polled after completion");
-        let r = self.ctx.recv_poll(self.src, self.tag, &mut self.st, Duration::ZERO);
-        if matches!(r, Ok(Some(_))) {
-            self.done = true;
-        }
-        r
+        let r = self.ctx.recv_poll(self.src, self.tag, &mut self.st, Duration::ZERO)?;
+        self.done = r.is_some();
+        Ok(r.map(|d| d.to_vec()))
     }
 
     /// Block until delivery (or a comm error), waiting up to one backoff
     /// interval (capped at the heartbeat) on the link between
     /// retransmission requests.
     pub fn wait(&mut self) -> Result<Vec<f64>, CommError> {
+        self.wait_delivered().map(|d| d.to_vec())
+    }
+
+    /// [`RecvHandle::wait`], returning the verified payload undecoded.
+    pub fn wait_delivered(&mut self) -> Result<Delivered, CommError> {
         debug_assert!(!self.done, "RecvHandle waited after completion");
         loop {
             let wait = self.st.backoff.min(self.ctx.world.config.heartbeat_interval);
-            if let Some(v) = self.ctx.recv_poll(self.src, self.tag, &mut self.st, wait)? {
+            if let Some(d) = self.ctx.recv_poll(self.src, self.tag, &mut self.st, wait)? {
                 self.done = true;
-                return Ok(v);
+                return Ok(d);
             }
         }
     }
@@ -1027,10 +1069,11 @@ mod tests {
     #[test]
     fn malformed_payload_length_is_typed_error() {
         assert_eq!(
-            decode_payload(0, 1, 7, &[1, 2, 3]),
+            decode_payload(0, 1, 7, Arc::new(vec![1, 2, 3])),
             Err(CommError::Malformed { src: 0, dst: 1, tag: 7, len: 3 })
         );
-        assert_eq!(decode_payload(0, 1, 7, &1.5f64.to_le_bytes()), Ok(vec![1.5]));
+        let one = decode_payload(0, 1, 7, Arc::new(1.5f64.to_le_bytes().to_vec()));
+        assert_eq!(one.map(|d| d.to_vec()), Ok(vec![1.5]));
     }
 
     #[test]

@@ -21,6 +21,7 @@ use gw_expr::schedule::{schedule, ScheduleStrategy};
 use gw_expr::symbols::NUM_VARS;
 use gw_expr::tape::Tape;
 use gw_gpu_sim::{CounterSnapshot, Device, LaunchConfig};
+use gw_mesh::scatter::{scatter_walk, RowWalk};
 use gw_mesh::sync_interfaces_par;
 use gw_mesh::{Field, Mesh, ProlongedHalo};
 use gw_obs::{Counter, Phase, Probe};
@@ -452,6 +453,9 @@ pub struct GpuBackend {
     rhs: OctantRhs,
     bufs: [gw_gpu_sim::DeviceBuffer<f64>; NUM_BUFS],
     patches: gw_gpu_sim::DeviceBuffer<f64>,
+    /// The row walk of every `mesh.scatter` op, resolved once per mesh
+    /// and replayed by each of the op's per-variable blocks.
+    scatter_walks: Vec<RowWalk>,
     probe: Probe,
     n_oct: usize,
 }
@@ -466,6 +470,7 @@ impl GpuBackend {
             rhs: OctantRhs::new(mesh, params, kind),
             bufs,
             patches,
+            scatter_walks: mesh.scatter.iter().map(scatter_walk).collect(),
             probe: Probe::disabled(),
             n_oct: n,
         }
@@ -497,6 +502,8 @@ impl GpuBackend {
         let prolong = Prolongation::new();
         let table_len = prolong.table_len();
         let probe = self.probe.clone();
+        let walks = &self.scatter_walks;
+        assert_eq!(walks.len(), mesh.scatter.len(), "o2p runs on the backend's own mesh");
         self.device.launch(LaunchConfig::grid2(n, NUM_VARS, "octant-to-patch"), |ctx| {
             let e = ctx.bx;
             let var = ctx.by;
@@ -527,13 +534,19 @@ impl GpuBackend {
                     let fl = prolong.prolong3d_ws(shared, fine13, pws);
                     ctx.flops(fl);
                 }
-                for op in ops {
+                let op_walks = &walks[mesh.scatter_offsets[e]..mesh.scatter_offsets[e + 1]];
+                for (op, walk) in ops.iter().zip(op_walks) {
                     let dst_off = (var * n + op.dst as usize) * PATCH_VOLUME;
                     // Safety: (dst, delta, ownership) regions are disjoint
                     // across blocks by construction (see gw-mesh::grid).
                     let dst = unsafe { patches.slice_mut(dst_off, PATCH_VOLUME) };
-                    let (written, _) = gw_mesh::scatter::apply_scatter_op(op, shared, fine13, dst);
-                    ctx.global_store(written as usize);
+                    let src = if op.kind == gw_mesh::ScatterKind::Prolong {
+                        &fine13[..]
+                    } else {
+                        &shared[..]
+                    };
+                    walk.copy(src, dst);
+                    ctx.global_store(walk.points());
                 }
             });
         });

@@ -21,18 +21,23 @@
 //! discipline, [`encode_shard`]), then — only after all shards are
 //! durably on disk — the coordinator atomically renames a global
 //! *manifest* into place recording the step, the partition map and every
-//! shard's CRC ([`commit_manifest`]). The manifest is the commit point:
-//! a snapshot missing it is invisible, and [`load_distributed`] verifies
-//! each shard against the manifest CRCs, so a restart sees a globally
-//! consistent state or a typed error — never a mixed-step mosaic.
+//! shard's body CRC ([`commit_manifest`]). The manifest is the commit
+//! point: a snapshot missing it is invisible, and [`load_distributed`]
+//! verifies each shard against the manifest CRCs, so a restart sees a
+//! globally consistent state or a typed error — never a mixed-step mosaic.
+//!
+//! Every format is written through a `Sealer`: the body is checksummed
+//! as it is serialized and the trailer is appended in place, so writing
+//! a checkpoint reads each byte once for its CRC and copies no body.
 
 use crate::solver::{GwSolver, SolverConfig};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use gw_comm::crc::crc32;
+use bytes::{Buf, BufMut, Bytes};
+use gw_comm::crc::{crc32, CrcBuf};
 use gw_expr::symbols::NUM_VARS;
 use gw_mesh::{Field, Mesh};
 use gw_octree::{Domain, MortonKey};
 use gw_stencil::patch::BLOCK_VOLUME;
+use std::ops::Range;
 
 const MAGIC: u32 = 0x6777_6370; // "gwcp"
 /// Current write version. v2 = v1 body + trailing CRC-32 of the body.
@@ -40,7 +45,9 @@ const VERSION: u32 = 2;
 const SHARD_MAGIC: u32 = 0x6777_7368; // "gwsh"
 const SHARD_VERSION: u32 = 1;
 const MANIFEST_MAGIC: u32 = 0x6777_6d66; // "gwmf"
-const MANIFEST_VERSION: u32 = 1;
+/// v2 records each shard's body CRC (its seal trailer). v1 recorded the
+/// CRC of the sealed file, which is the same constant for every body.
+const MANIFEST_VERSION: u32 = 2;
 
 /// A typed checkpoint failure. Loads fail atomically: on any error no
 /// partial state escapes (the decoder owns everything until it returns).
@@ -114,31 +121,80 @@ fn need(data: &Bytes, n: usize, what: &'static str) -> Result<(), CheckpointErro
     }
 }
 
-/// Append a CRC-32 trailer over `body`.
-fn seal(body: Bytes) -> Bytes {
-    let mut out = BytesMut::with_capacity(body.len() + 4);
-    out.put_slice(body.as_slice());
-    out.put_u32_le(crc32(body.as_slice()));
-    out.freeze()
+/// Check a file's magic and format version from its raw prefix, before
+/// any checksum: a file of another version may carry no trailer, and
+/// verifying one would mask the real (version) problem.
+fn check_prefix(
+    data: &Bytes,
+    expected: u32,
+    supported: u32,
+    what: &'static str,
+) -> Result<(), CheckpointError> {
+    need(data, 8, what)?;
+    let word = |i: usize| u32::from_le_bytes(data.as_slice()[i..i + 4].try_into().unwrap());
+    let (magic, version) = (word(0), word(4));
+    if magic != expected {
+        return Err(CheckpointError::BadMagic { expected, got: magic });
+    }
+    if version != supported {
+        return Err(CheckpointError::UnsupportedVersion { got: version, supported });
+    }
+    Ok(())
+}
+
+/// A checkpoint body under construction, checksummed as it is written
+/// ([`CrcBuf`]). [`Sealer::seal`] appends the CRC-32 trailer in place.
+struct Sealer(CrcBuf);
+
+impl BufMut for Sealer {
+    fn put_slice(&mut self, s: &[u8]) {
+        self.0.put(s);
+    }
+}
+
+impl Sealer {
+    /// Room for a body of `body` bytes and its trailer.
+    fn with_capacity(body: usize) -> Self {
+        Self(CrcBuf::with_capacity(body + 4))
+    }
+
+    fn put_f64s(&mut self, words: &[f64]) {
+        self.0.put_f64s(words);
+    }
+
+    /// The sealed bytes (body, then its CRC-32) and the body's CRC.
+    fn seal(self) -> (Bytes, u32) {
+        let (mut bytes, crc) = self.0.into_parts();
+        bytes.extend_from_slice(&crc.to_le_bytes());
+        (Bytes::from(bytes), crc)
+    }
+}
+
+/// Split a sealed file into its body, its stored trailer and the body's
+/// computed CRC-32 (the one checksum pass over the body).
+fn split_sealed(data: Bytes) -> Result<(Bytes, u32, u32), CheckpointError> {
+    need(&data, 12, "header + CRC trailer")?;
+    let body_len = data.remaining() - 4;
+    let stored = u32::from_le_bytes(data.as_slice()[body_len..].try_into().unwrap());
+    let body = data.slice(..body_len);
+    let computed = crc32(body.as_slice());
+    Ok((body, stored, computed))
 }
 
 /// Verify and strip a CRC-32 trailer.
 fn unseal(data: Bytes) -> Result<Bytes, CheckpointError> {
-    need(&data, 12, "header + CRC trailer")?;
-    let body_len = data.remaining() - 4;
-    let stored = u32::from_le_bytes(data.as_slice()[body_len..body_len + 4].try_into().unwrap());
-    let computed = crc32(&data.as_slice()[..body_len]);
+    let (body, stored, computed) = split_sealed(data)?;
     if stored != computed {
         return Err(CheckpointError::ChecksumMismatch { stored, computed });
     }
-    Ok(data.slice(..body_len))
+    Ok(body)
 }
 
 /// Serialize the solver's restartable state (format v2: body + CRC-32).
 pub fn save(solver: &GwSolver) -> Bytes {
     let u = solver.state();
     let n = solver.mesh.n_octants();
-    let mut buf = BytesMut::with_capacity(64 + n * 16 + u.as_slice().len() * 8 + 4);
+    let mut buf = Sealer::with_capacity(64 + n * 13 + u.as_slice().len() * 8);
     buf.put_u32_le(MAGIC);
     buf.put_u32_le(VERSION);
     for a in 0..3 {
@@ -157,28 +213,16 @@ pub fn save(solver: &GwSolver) -> Bytes {
         buf.put_u8(o.key.level());
     }
     buf.put_u64_le(u.as_slice().len() as u64);
-    for &v in u.as_slice() {
-        buf.put_f64_le(v);
-    }
-    seal(buf.freeze())
+    buf.put_f64s(u.as_slice());
+    buf.seal().0
 }
 
 /// Deserialize a checkpoint (format v2 only; v1 is rejected as
 /// unverifiable). Fails atomically — an error never leaves partial
 /// state behind.
 pub fn load(data: Bytes) -> Result<Checkpoint, CheckpointError> {
-    need(&data, 8, "magic + version")?;
-    // Peek the version from the raw prefix: v1 files carry no CRC
-    // trailer, and verifying one over the whole file would mask the
-    // real (version) problem with a checksum error.
-    let version = u32::from_le_bytes(data.as_slice()[4..8].try_into().unwrap());
-    let magic = u32::from_le_bytes(data.as_slice()[0..4].try_into().unwrap());
-    if magic != MAGIC {
-        return Err(CheckpointError::BadMagic { expected: MAGIC, got: magic });
-    }
-    if version != VERSION {
-        return Err(CheckpointError::UnsupportedVersion { got: version, supported: VERSION });
-    }
+    // v1 files carry no CRC trailer: the version is checked first.
+    check_prefix(&data, MAGIC, VERSION, "magic + version")?;
     let mut data = unseal(data)?;
     data.advance(8); // magic + version, already validated
     need(&data, 6 * 8 + 8 + 8 + 8, "domain + counters")?;
@@ -266,67 +310,91 @@ pub fn load_from_file(path: &str) -> Result<Checkpoint, CheckpointError> {
 // Distributed snapshots: per-rank shards + committed global manifest.
 // ---------------------------------------------------------------------
 
-/// One rank's slice of a distributed snapshot: its SFC-contiguous octant
-/// range with values in `[octant][var][point]` order (the halo-message
-/// layout).
-#[derive(Clone, Debug, PartialEq)]
-pub struct Shard {
+/// Which octants of which step a shard holds.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct ShardHeader {
     pub rank: usize,
     pub start_octant: usize,
     pub n_octants: usize,
     pub time: f64,
     pub steps_taken: u64,
+}
+
+impl ShardHeader {
+    /// The octants the shard holds.
+    pub fn octants(&self) -> Range<usize> {
+        self.start_octant..self.start_octant + self.n_octants
+    }
+}
+
+/// One rank's slice of a distributed snapshot: its SFC-contiguous octant
+/// range with values in `[octant][var][point]` order (the halo-message
+/// layout).
+#[derive(Clone, Debug, PartialEq)]
+pub struct Shard {
+    pub header: ShardHeader,
     pub values: Vec<f64>,
+}
+
+/// Serialize a shard holding `n_values` values, given as consecutive
+/// slices, in one pass: each slice is checksummed as it is written, and
+/// the trailer is appended in place. Returns the sealed bytes and the
+/// body's CRC.
+fn encode_shard_from<'a>(
+    h: &ShardHeader,
+    n_values: usize,
+    values: impl IntoIterator<Item = &'a [f64]>,
+) -> (Bytes, u32) {
+    let mut buf = Sealer::with_capacity(56 + n_values * 8);
+    buf.put_u32_le(SHARD_MAGIC);
+    buf.put_u32_le(SHARD_VERSION);
+    buf.put_u64_le(h.rank as u64);
+    buf.put_u64_le(h.start_octant as u64);
+    buf.put_u64_le(h.n_octants as u64);
+    buf.put_f64_le(h.time);
+    buf.put_u64_le(h.steps_taken);
+    buf.put_u64_le(n_values as u64);
+    for v in values {
+        buf.put_f64s(v);
+    }
+    buf.seal()
 }
 
 /// Serialize a shard (CRC-sealed like the single-rank format).
 pub fn encode_shard(shard: &Shard) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64 + shard.values.len() * 8);
-    buf.put_u32_le(SHARD_MAGIC);
-    buf.put_u32_le(SHARD_VERSION);
-    buf.put_u64_le(shard.rank as u64);
-    buf.put_u64_le(shard.start_octant as u64);
-    buf.put_u64_le(shard.n_octants as u64);
-    buf.put_f64_le(shard.time);
-    buf.put_u64_le(shard.steps_taken);
-    buf.put_u64_le(shard.values.len() as u64);
-    for &v in &shard.values {
-        buf.put_f64_le(v);
+    encode_shard_from(&shard.header, shard.values.len(), [shard.values.as_slice()]).0
+}
+
+/// Parse a verified shard body up to its values: the header and the
+/// value count, checked against the octant count.
+fn parse_shard_header(body: &mut Bytes) -> Result<(ShardHeader, usize), CheckpointError> {
+    check_prefix(body, SHARD_MAGIC, SHARD_VERSION, "shard magic + version")?;
+    body.advance(8);
+    need(body, 8 * 6, "shard header")?;
+    let h = ShardHeader {
+        rank: body.get_u64_le() as usize,
+        start_octant: body.get_u64_le() as usize,
+        n_octants: body.get_u64_le() as usize,
+        time: body.get_f64_le(),
+        steps_taken: body.get_u64_le(),
+    };
+    let len = body.get_u64_le() as usize;
+    need(body, len * 8, "shard values")?;
+    if len != h.n_octants * NUM_VARS * BLOCK_VOLUME {
+        return Err(CheckpointError::Inconsistent {
+            what: format!("shard value count {len} does not match {} octants", h.n_octants),
+        });
     }
-    seal(buf.freeze())
+    Ok((h, len))
 }
 
 /// Deserialize and verify a shard.
 pub fn decode_shard(data: Bytes) -> Result<Shard, CheckpointError> {
-    need(&data, 8, "shard magic + version")?;
-    let magic = u32::from_le_bytes(data.as_slice()[0..4].try_into().unwrap());
-    if magic != SHARD_MAGIC {
-        return Err(CheckpointError::BadMagic { expected: SHARD_MAGIC, got: magic });
-    }
-    let version = u32::from_le_bytes(data.as_slice()[4..8].try_into().unwrap());
-    if version != SHARD_VERSION {
-        return Err(CheckpointError::UnsupportedVersion { got: version, supported: SHARD_VERSION });
-    }
-    let mut data = unseal(data)?;
-    data.advance(8);
-    need(&data, 8 * 5, "shard header")?;
-    let rank = data.get_u64_le() as usize;
-    let start_octant = data.get_u64_le() as usize;
-    let n_octants = data.get_u64_le() as usize;
-    let time = data.get_f64_le();
-    let steps_taken = data.get_u64_le();
-    let len = data.get_u64_le() as usize;
-    need(&data, len * 8, "shard values")?;
-    if len != n_octants * NUM_VARS * BLOCK_VOLUME {
-        return Err(CheckpointError::Inconsistent {
-            what: format!("shard value count {len} does not match {n_octants} octants"),
-        });
-    }
-    let mut values = Vec::with_capacity(len);
-    for _ in 0..len {
-        values.push(data.get_f64_le());
-    }
-    Ok(Shard { rank, start_octant, n_octants, time, steps_taken, values })
+    check_prefix(&data, SHARD_MAGIC, SHARD_VERSION, "shard magic + version")?;
+    let mut body = unseal(data)?;
+    let (header, len) = parse_shard_header(&mut body)?;
+    let values = (0..len).map(|_| body.get_f64_le()).collect();
+    Ok(Shard { header, values })
 }
 
 /// The global manifest of a distributed snapshot: grid, partition map,
@@ -340,7 +408,8 @@ pub struct DistManifest {
     pub offsets: Vec<usize>,
     pub time: f64,
     pub steps_taken: u64,
-    /// CRC-32 of each rank's encoded shard file.
+    /// CRC-32 of each rank's shard body: the trailer its seal appended.
+    /// (The CRC of a whole sealed file is the same for every body.)
     pub shard_crcs: Vec<u32>,
     /// Byte length of each rank's encoded shard file.
     pub shard_lens: Vec<u64>,
@@ -356,7 +425,7 @@ impl DistManifest {
 pub fn encode_manifest(m: &DistManifest) -> Bytes {
     assert_eq!(m.offsets.len(), m.ranks() + 1);
     assert_eq!(m.shard_lens.len(), m.ranks());
-    let mut buf = BytesMut::with_capacity(128 + m.leaves.len() * 13 + m.ranks() * 12);
+    let mut buf = Sealer::with_capacity(128 + m.leaves.len() * 13 + m.ranks() * 20);
     buf.put_u32_le(MANIFEST_MAGIC);
     buf.put_u32_le(MANIFEST_VERSION);
     for a in 0..3 {
@@ -382,23 +451,12 @@ pub fn encode_manifest(m: &DistManifest) -> Bytes {
         buf.put_u32_le(m.shard_crcs[r]);
         buf.put_u64_le(m.shard_lens[r]);
     }
-    seal(buf.freeze())
+    buf.seal().0
 }
 
 /// Deserialize and verify a manifest.
 pub fn decode_manifest(data: Bytes) -> Result<DistManifest, CheckpointError> {
-    need(&data, 8, "manifest magic + version")?;
-    let magic = u32::from_le_bytes(data.as_slice()[0..4].try_into().unwrap());
-    if magic != MANIFEST_MAGIC {
-        return Err(CheckpointError::BadMagic { expected: MANIFEST_MAGIC, got: magic });
-    }
-    let version = u32::from_le_bytes(data.as_slice()[4..8].try_into().unwrap());
-    if version != MANIFEST_VERSION {
-        return Err(CheckpointError::UnsupportedVersion {
-            got: version,
-            supported: MANIFEST_VERSION,
-        });
-    }
+    check_prefix(&data, MANIFEST_MAGIC, MANIFEST_VERSION, "manifest magic + version")?;
     let mut data = unseal(data)?;
     data.advance(8);
     need(&data, 8 * 8 + 8, "manifest header")?;
@@ -461,14 +519,22 @@ pub fn manifest_path(dir: &str) -> String {
     format!("{dir}/manifest.gwmf")
 }
 
-/// Phase 1 of the distributed commit: write one rank's shard atomically.
-/// Returns `(crc, byte length)` of the encoded shard for the manifest.
-pub fn write_shard(dir: &str, shard: &Shard) -> Result<(u32, u64), CheckpointError> {
+/// Phase 1 of the distributed commit: write one rank's shard, the
+/// octants `h` names of the global `state`, atomically. The shard is
+/// encoded straight from the field's blocks in one pass. Returns the
+/// body's CRC (the shard's seal trailer) and the file's byte length, for
+/// the manifest.
+pub fn write_shard(
+    dir: &str,
+    h: &ShardHeader,
+    state: &Field,
+) -> Result<(u32, u64), CheckpointError> {
     std::fs::create_dir_all(dir)
         .map_err(|e| CheckpointError::Io { path: dir.into(), error: e.to_string() })?;
-    let bytes = encode_shard(shard);
-    write_atomic(&shard_path(dir, shard.rank), bytes.as_slice())?;
-    Ok((crc32(bytes.as_slice()), bytes.len() as u64))
+    let blocks = h.octants().flat_map(|o| (0..NUM_VARS).map(move |v| state.block(v, o)));
+    let (bytes, crc) = encode_shard_from(h, h.n_octants * NUM_VARS * BLOCK_VOLUME, blocks);
+    write_atomic(&shard_path(dir, h.rank), bytes.as_slice())?;
+    Ok((crc, bytes.len() as u64))
 }
 
 /// Phase 2 of the distributed commit: atomically rename the manifest
@@ -518,9 +584,10 @@ pub struct DistCheckpoint {
 }
 
 /// Load a distributed snapshot: read the manifest (absence ⇒ nothing was
-/// committed), then verify every shard byte-for-byte against the
-/// manifest's CRCs before reassembling the global state. Any error is
-/// returned before partial state can escape.
+/// committed), then verify every shard against the manifest's CRCs
+/// before decoding it into the global state. Each shard body is
+/// checksummed once, and its values are decoded straight into the
+/// state's blocks. Any error is returned before partial state can escape.
 pub fn load_distributed(dir: &str) -> Result<DistCheckpoint, CheckpointError> {
     let mpath = manifest_path(dir);
     let mbytes = match std::fs::read(&mpath) {
@@ -547,59 +614,46 @@ pub fn load_distributed(dir: &str) -> Result<DistCheckpoint, CheckpointError> {
                 ),
             });
         }
-        let actual_crc = crc32(&sbytes);
-        if actual_crc != manifest.shard_crcs[rank] {
+        let sbytes = Bytes::from(sbytes);
+        check_prefix(&sbytes, SHARD_MAGIC, SHARD_VERSION, "shard magic + version")?;
+        let (mut body, stored, computed) = split_sealed(sbytes)?;
+        if computed != manifest.shard_crcs[rank] {
             return Err(CheckpointError::ShardMismatch {
                 rank,
                 what: format!(
-                    "CRC {actual_crc:#010x} (manifest says {:#010x})",
+                    "CRC {computed:#010x} (manifest says {:#010x})",
                     manifest.shard_crcs[rank]
                 ),
             });
         }
-        let shard = decode_shard(Bytes::from(sbytes))?;
+        if stored != computed {
+            return Err(CheckpointError::ChecksumMismatch { stored, computed });
+        }
+        let (h, _) = parse_shard_header(&mut body)?;
         let (lo, hi) = (manifest.offsets[rank], manifest.offsets[rank + 1]);
-        if shard.rank != rank || shard.start_octant != lo || shard.n_octants != hi - lo {
+        if h.rank != rank || h.start_octant != lo || h.n_octants != hi - lo {
             return Err(CheckpointError::ShardMismatch {
                 rank,
-                what: format!(
-                    "owns octants {}..{} (manifest says {lo}..{hi})",
-                    shard.start_octant,
-                    shard.start_octant + shard.n_octants
-                ),
+                what: format!("owns octants {:?} (manifest says {lo}..{hi})", h.octants()),
             });
         }
-        if shard.steps_taken != manifest.steps_taken {
+        if h.steps_taken != manifest.steps_taken {
             return Err(CheckpointError::ShardMismatch {
                 rank,
-                what: format!(
-                    "step {} (manifest says {})",
-                    shard.steps_taken, manifest.steps_taken
-                ),
+                what: format!("step {} (manifest says {})", h.steps_taken, manifest.steps_taken),
             });
         }
-        let mut it = shard.values.iter();
+        let mut words =
+            body.chunk().chunks_exact(8).map(|b| f64::from_le_bytes(b.try_into().unwrap()));
         for oct in lo..hi {
             for var in 0..NUM_VARS {
-                for p in state.block_mut(var, oct) {
-                    *p = *it.next().unwrap();
+                for (p, w) in state.block_mut(var, oct).iter_mut().zip(&mut words) {
+                    *p = w;
                 }
             }
         }
     }
     Ok(DistCheckpoint { manifest, state })
-}
-
-/// Extract rank `r`'s shard values (`[octant][var][point]` order) from a
-/// global field.
-pub fn shard_values(state: &Field, lo: usize, hi: usize) -> Vec<f64> {
-    let mut out = Vec::with_capacity((hi - lo) * NUM_VARS * BLOCK_VOLUME);
-    for oct in lo..hi {
-        for var in 0..NUM_VARS {
-            out.extend_from_slice(state.block(var, oct));
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -764,15 +818,52 @@ mod tests {
     #[test]
     fn shard_roundtrip() {
         let shard = Shard {
-            rank: 2,
-            start_octant: 10,
-            n_octants: 1,
-            time: 0.5,
-            steps_taken: 7,
+            header: ShardHeader {
+                rank: 2,
+                start_octant: 10,
+                n_octants: 1,
+                time: 0.5,
+                steps_taken: 7,
+            },
             values: (0..NUM_VARS * BLOCK_VOLUME).map(|i| i as f64 * 0.25).collect(),
         };
         let back = decode_shard(encode_shard(&shard)).unwrap();
         assert_eq!(back, shard);
+    }
+
+    /// Write the shards of `s`'s state split at `offsets` under `dir`,
+    /// and return the manifest that would commit them.
+    fn write_shards(dir: &str, s: &GwSolver, offsets: &[usize]) -> DistManifest {
+        let state = s.state();
+        let (mut crcs, mut lens) = (Vec::new(), Vec::new());
+        for r in 0..offsets.len() - 1 {
+            let h = ShardHeader {
+                rank: r,
+                start_octant: offsets[r],
+                n_octants: offsets[r + 1] - offsets[r],
+                time: s.time,
+                steps_taken: s.steps_taken,
+            };
+            let (crc, len) = write_shard(dir, &h, &state).unwrap();
+            crcs.push(crc);
+            lens.push(len);
+        }
+        DistManifest {
+            domain: s.mesh.domain,
+            leaves: s.mesh.octants.iter().map(|o| o.key).collect(),
+            offsets: offsets.to_vec(),
+            time: s.time,
+            steps_taken: s.steps_taken,
+            shard_crcs: crcs,
+            shard_lens: lens,
+        }
+    }
+
+    fn temp_dir(name: &str) -> String {
+        let dir = std::env::temp_dir().join(name);
+        let dir = dir.to_str().unwrap().to_string();
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
     }
 
     #[test]
@@ -781,37 +872,10 @@ mod tests {
         s.step();
         let state = s.state();
         let n = s.mesh.n_octants();
-        let dir = std::env::temp_dir().join("gw_amr_dist_ckpt_test");
-        let dir = dir.to_str().unwrap().to_string();
-        let _ = std::fs::remove_dir_all(&dir);
-        let offsets = vec![0, n / 2, n];
-        let mut crcs = Vec::new();
-        let mut lens = Vec::new();
-        for r in 0..2 {
-            let (lo, hi) = (offsets[r], offsets[r + 1]);
-            let shard = Shard {
-                rank: r,
-                start_octant: lo,
-                n_octants: hi - lo,
-                time: s.time,
-                steps_taken: s.steps_taken,
-                values: shard_values(&state, lo, hi),
-            };
-            let (crc, len) = write_shard(&dir, &shard).unwrap();
-            crcs.push(crc);
-            lens.push(len);
-        }
+        let dir = temp_dir("gw_amr_dist_ckpt_test");
+        let manifest = write_shards(&dir, &s, &[0, n / 2, n]);
         // Before the manifest exists the snapshot is invisible.
         assert!(matches!(load_distributed(&dir), Err(CheckpointError::ManifestMissing { .. })));
-        let manifest = DistManifest {
-            domain: s.mesh.domain,
-            leaves: s.mesh.octants.iter().map(|o| o.key).collect(),
-            offsets: offsets.clone(),
-            time: s.time,
-            steps_taken: s.steps_taken,
-            shard_crcs: crcs,
-            shard_lens: lens,
-        };
         commit_manifest(&dir, &manifest).unwrap();
         let cp = load_distributed(&dir).unwrap();
         assert_eq!(cp.manifest.steps_taken, 1);
@@ -826,6 +890,90 @@ mod tests {
             load_distributed(&dir),
             Err(CheckpointError::ShardMismatch { rank: 1, .. })
         ));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn manifest_crcs_bind_shard_contents() {
+        // Each manifest CRC is its shard's seal trailer: different bodies
+        // get different CRCs (the CRC of a whole sealed file would be the
+        // same constant for both).
+        let mut s = demo_solver();
+        s.step();
+        let n = s.mesh.n_octants();
+        let dir = temp_dir("gw_amr_dist_ckpt_crcs");
+        let m = write_shards(&dir, &s, &[0, n / 2, n]);
+        assert_eq!(m.shard_lens[0], m.shard_lens[1]);
+        assert_ne!(m.shard_crcs[0], m.shard_crcs[1]);
+        for r in 0..2 {
+            let file = std::fs::read(shard_path(&dir, r)).unwrap();
+            let (body, trailer) = file.split_at(file.len() - 4);
+            assert_eq!(m.shard_crcs[r], crc32(body));
+            assert_eq!(m.shard_crcs[r].to_le_bytes(), trailer);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn swapped_in_sealed_shard_is_rejected() {
+        // A validly sealed shard of the right length, from another rank or
+        // another step, passes its own trailer check; the manifest CRC is
+        // what rejects it. The last stranger carries the victim's exact
+        // header over another step's values, so only the CRC can tell.
+        let mut s = demo_solver();
+        s.step();
+        let n = s.mesh.n_octants();
+        let offsets = [0, n / 2, n];
+        let (dir, later) =
+            (temp_dir("gw_amr_dist_ckpt_swap"), temp_dir("gw_amr_dist_ckpt_swap_later"));
+        commit_manifest(&dir, &write_shards(&dir, &s, &offsets)).unwrap();
+        let victim = ShardHeader {
+            rank: 1,
+            start_octant: n / 2,
+            n_octants: n - n / 2,
+            time: s.time,
+            steps_taken: s.steps_taken,
+        };
+        s.step();
+        write_shards(&later, &s, &offsets);
+        let forged = temp_dir("gw_amr_dist_ckpt_swap_forged");
+        write_shard(&forged, &victim, &s.state()).unwrap();
+        let own = std::fs::read(shard_path(&dir, 1)).unwrap();
+        for stranger in [shard_path(&dir, 0), shard_path(&later, 1), shard_path(&forged, 1)] {
+            let bytes = std::fs::read(&stranger).unwrap();
+            assert_eq!(bytes.len(), own.len(), "{stranger} has the victim's length");
+            assert!(decode_shard(Bytes::from(bytes.clone())).is_ok(), "{stranger} is sealed");
+            std::fs::write(shard_path(&dir, 1), &bytes).unwrap();
+            match load_distributed(&dir) {
+                Err(CheckpointError::ShardMismatch { rank: 1, what }) => {
+                    assert!(what.starts_with("CRC"), "{stranger}: {what}");
+                }
+                other => panic!("{stranger} must not load: {:?}", other.err()),
+            }
+        }
+        std::fs::write(shard_path(&dir, 1), &own).unwrap();
+        assert!(load_distributed(&dir).is_ok(), "the original shard loads again");
+        for d in [dir, later, forged] {
+            let _ = std::fs::remove_dir_all(d);
+        }
+    }
+
+    #[test]
+    fn v1_manifest_is_rejected_with_typed_error() {
+        // A v1 manifest recorded sealed-file CRCs, which bind nothing: it
+        // is rejected even when its own seal is intact.
+        let s = demo_solver();
+        let n = s.mesh.n_octants();
+        let dir = temp_dir("gw_amr_dist_ckpt_v1");
+        let v2 = encode_manifest(&write_shards(&dir, &s, &[0, n]));
+        let mut v1 = v2.as_slice()[..v2.len() - 4].to_vec();
+        v1[4..8].copy_from_slice(&1u32.to_le_bytes());
+        let crc = crc32(&v1);
+        v1.extend_from_slice(&crc.to_le_bytes());
+        match decode_manifest(Bytes::from(v1)) {
+            Err(CheckpointError::UnsupportedVersion { got: 1, supported: 2 }) => {}
+            other => panic!("expected UnsupportedVersion, got {:?}", other.err()),
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

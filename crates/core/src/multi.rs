@@ -21,10 +21,10 @@
 //! bit-identical to the blocking one (see DESIGN.md §11).
 
 use crate::backend::OctantRhs;
-use crate::checkpoint::{self, CheckpointError, DistManifest, Shard};
+use crate::checkpoint::{self, CheckpointError, DistManifest, ShardHeader};
 use crate::solver::SolverConfig;
 use gw_comm::world::WorldConfig;
-use gw_comm::{CommError, GhostPlan, GhostSchedule, RankCtx, RecvHandle, World};
+use gw_comm::{CommError, CrcBuf, GhostPlan, GhostSchedule, RankCtx, RecvHandle, World};
 use gw_expr::symbols::NUM_VARS;
 use gw_mesh::{Field, Mesh, ProlongedHalo};
 use gw_obs::{Counter, Phase, Probe};
@@ -69,6 +69,19 @@ fn stage_tag(step: usize, stage: u64) -> u64 {
 /// The post-update interface-sync exchange slot of [`stage_tag`].
 const STAGE_SYNC: u64 = 4;
 
+/// The message carrying the ghost blocks of `list` (all 24 vars of each
+/// octant, in that order), serialized straight from `field`'s blocks and
+/// checksummed block by block while each is in cache.
+fn ghost_payload(field: &Field, list: &[u32]) -> CrcBuf {
+    let mut buf = CrcBuf::with_capacity(list.len() * NUM_VARS * BLOCK_VOLUME * 8);
+    for &oct in list {
+        for v in 0..NUM_VARS {
+            buf.put_f64s(field.block(v, oct as usize));
+        }
+    }
+    buf
+}
+
 /// Post the sends and nonblocking receives of one halo exchange (all 24
 /// vars of each octant the plan lists) and return the in-flight receive
 /// handles, one per neighbor in rank order.
@@ -81,24 +94,18 @@ fn post_exchange<'c>(
     let r = ctx.rank();
     for q in 0..ctx.size() {
         let list = &plan.sends[r][q];
-        if list.is_empty() {
-            continue;
+        if !list.is_empty() {
+            ctx.send_buf(q, tag, ghost_payload(field, list));
         }
-        let mut payload = Vec::with_capacity(list.len() * NUM_VARS * BLOCK_VOLUME);
-        for &oct in list {
-            for v in 0..NUM_VARS {
-                payload.extend_from_slice(field.block(v, oct as usize));
-            }
-        }
-        ctx.send(q, tag, &payload);
     }
     (0..ctx.size()).filter(|&q| !plan.recvs[r][q].is_empty()).map(|q| ctx.irecv(q, tag)).collect()
 }
 
-/// Complete the receives posted by [`post_exchange`], copying ghost
-/// blocks into `field`. Receives are checked: a dropped, truncated, or
-/// corrupted message surfaces as a [`CommError`] — the field is never
-/// partially updated from a bad payload.
+/// Complete the receives posted by [`post_exchange`], decoding ghost
+/// blocks straight into `field`. Receives are checked before any block
+/// is decoded: a dropped, truncated, or corrupted message surfaces as a
+/// [`CommError`] — the field is never partially updated from a bad
+/// payload.
 fn finish_exchange(
     ctx: &RankCtx<'_>,
     plan: &GhostPlan,
@@ -110,20 +117,20 @@ fn finish_exchange(
     for mut h in handles {
         let q = h.src();
         let list = &plan.recvs[r][q];
-        let payload = h.wait()?;
-        if payload.len() != list.len() * NUM_VARS * BLOCK_VOLUME {
+        let payload = h.wait_delivered()?;
+        if payload.words() != list.len() * NUM_VARS * BLOCK_VOLUME {
             return Err(CommError::Truncated {
                 src: q,
                 dst: r,
                 tag,
                 declared: list.len() * NUM_VARS * BLOCK_VOLUME * 8,
-                got: payload.len() * 8,
+                got: payload.words() * 8,
             });
         }
         let mut off = 0;
         for &oct in list {
             for v in 0..NUM_VARS {
-                field.block_mut(v, oct as usize).copy_from_slice(&payload[off..off + BLOCK_VOLUME]);
+                payload.decode_into(off, field.block_mut(v, oct as usize));
                 off += BLOCK_VOLUME;
             }
         }
@@ -517,15 +524,14 @@ fn evolve_span(
                     let _s = probe.start(Phase::Checkpoint);
                     probe.add(Counter::Checkpoints, 1);
                     let sub = checkpoint::snapshot_dir(root, s1);
-                    let shard = Shard {
+                    let shard = ShardHeader {
                         rank: r,
                         start_octant: owned.start,
                         n_octants: owned.len(),
                         time: s1 as f64 * dt,
                         steps_taken: s1,
-                        values: checkpoint::shard_values(&u, owned.start, owned.end),
                     };
-                    let (crc, len) = checkpoint::write_shard(&sub, &shard)?;
+                    let (crc, len) = checkpoint::write_shard(&sub, &shard, &u)?;
                     let metas = ctx.try_allgatherv(&[crc as f64, len as f64])?;
                     if r == 0 {
                         let manifest = DistManifest {
@@ -946,6 +952,26 @@ mod tests {
             assert_eq!(a, b, "resume from the manifest must be bit-exact");
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn ghost_payload_matches_flat_serialization() {
+        // The fused per-block serialization sends exactly the bytes, and
+        // the CRC, of collecting the blocks into one f64 vector and
+        // flattening it to little-endian bytes.
+        let mesh = adaptive_mesh();
+        let u = fill_field(&mesh, &wave());
+        let list: Vec<u32> = vec![0, 3, 17, 70];
+        let mut words = Vec::new();
+        for &oct in &list {
+            for v in 0..NUM_VARS {
+                words.extend_from_slice(u.block(v, oct as usize));
+            }
+        }
+        let flat: Vec<u8> = words.iter().flat_map(|v| v.to_le_bytes()).collect();
+        let (bytes, crc) = ghost_payload(&u, &list).into_parts();
+        assert_eq!(bytes, flat);
+        assert_eq!(crc, gw_comm::crc::crc32(&flat));
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //!    `gw_bssn::constraints`). Violations produce a structured
 //!    [`HealthReport`].
 //! 2. **Automatic checkpointing**: an in-memory snapshot is refreshed at
-//!    every *verified-healthy* check (the rollback target), and disk
-//!    checkpoints are written through the atomic, CRC-protected
-//!    [`crate::checkpoint::save_to_file`] on a configurable cadence with
+//!    every *verified-healthy* check (the rollback target), and on a
+//!    configurable cadence that same CRC-sealed snapshot is written to
+//!    disk atomically ([`crate::checkpoint::write_atomic`]) with
 //!    keep-last-K rotation.
 //! 3. **Auto-recovery**: on a failed check the solver is rolled back to
 //!    the last good snapshot and retried under a [`DegradationPolicy`]
@@ -348,7 +348,7 @@ impl<'a> Supervisor<'a> {
                     && step.is_multiple_of(self.config.checkpoint_every)
                 {
                     if let Some(dir) = self.config.checkpoint_dir.clone() {
-                        let path = self.write_checkpoint(solver, &dir, step)?;
+                        let path = self.write_checkpoint(solver, &good, &dir, step)?;
                         events.push(SupervisorEvent::CheckpointWritten { step, path });
                     }
                 }
@@ -409,10 +409,12 @@ impl<'a> Supervisor<'a> {
         }
     }
 
-    /// Atomic disk checkpoint + keep-last-K rotation.
+    /// Atomic disk checkpoint of the sealed snapshot `bytes` (the one
+    /// just taken of `solver`, not encoded again) + keep-last-K rotation.
     fn write_checkpoint(
         &mut self,
         solver: &GwSolver,
+        bytes: &Bytes,
         dir: &str,
         step: u64,
     ) -> Result<String, SupervisorError> {
@@ -421,7 +423,7 @@ impl<'a> Supervisor<'a> {
         solver.probe().add(Counter::Checkpoints, 1);
         std::fs::create_dir_all(dir).map_err(|e| io(e.to_string()))?;
         let path = format!("{dir}/ckpt_{step:08}.gwcp");
-        checkpoint::save_to_file(solver, &path).map_err(|e| io(e.to_string()))?;
+        checkpoint::write_atomic(&path, bytes.as_slice()).map_err(|e| io(e.to_string()))?;
         self.written.push(path.clone());
         while self.written.len() > self.config.keep_checkpoints.max(1) {
             let old = self.written.remove(0);

@@ -221,8 +221,16 @@ impl RowWalk {
 /// block for `Prolong`. The point view of [`RowWalk::scatter`].
 #[inline]
 pub fn for_each_scatter_point(op: &ScatterOp, visit: impl FnMut(usize, usize)) {
+    scatter_walk(op).for_each_point(visit);
+}
+
+/// The [`RowWalk`] of scatter op `op` over its whole source: the `r^3`
+/// block for `Same`/`Inject`, the prolonged `(2r−1)^3` block for
+/// `Prolong`. What [`apply_scatter_op`] replays; a kernel that applies
+/// the same ops many times resolves them once with this.
+pub fn scatter_walk(op: &ScatterOp) -> RowWalk {
     let side = if op.kind == ScatterKind::Prolong { FINE_SIDE } else { POINTS_PER_SIDE };
-    RowWalk::scatter(op, [0; 3], [side, side]).for_each_point(visit);
+    RowWalk::scatter(op, [0; 3], [side, side])
 }
 
 /// The fine sub-box of the source's prolonged `(2r−1)^3` block that a
@@ -259,12 +267,8 @@ pub fn apply_scatter_op(
     fine13: &[f64],
     dst_patch: &mut [f64],
 ) -> (u64, u64) {
-    let (src, side) = if op.kind == ScatterKind::Prolong {
-        (fine13, FINE_SIDE)
-    } else {
-        (src_block, POINTS_PER_SIDE)
-    };
-    let walk = RowWalk::scatter(op, [0; 3], [side, side]);
+    let src = if op.kind == ScatterKind::Prolong { fine13 } else { src_block };
+    let walk = scatter_walk(op);
     walk.copy(src, dst_patch);
     (walk.points() as u64, 0)
 }
