@@ -46,11 +46,12 @@ fn run(mesh: &Mesh, ranks: usize, world: WorldConfig, probe: &Probe) -> (Distrib
     (out.distributed.expect("distributed runs report an outcome").result, wall_ms)
 }
 
-/// Halo-span milliseconds as a share of all recorded work-phase time.
+/// Halo-span milliseconds as a share of all recorded work-phase time:
+/// the outermost spans, since the halo spans nest inside a rank's `rhs`
+/// and `p2o` spans.
 fn halo_share(trace: &gw_obs::Trace) -> f64 {
-    let totals = trace.phase_totals();
-    let halo: f64 = totals.get("halo").map(|a| a.total_ms).unwrap_or(0.0);
-    let all: f64 = totals.values().map(|a| a.total_ms).sum();
+    let halo: f64 = trace.phase_totals().get("halo").map(|a| a.total_ms).unwrap_or(0.0);
+    let all: f64 = trace.events.iter().filter(|e| e.parent.is_none()).map(|e| e.dur_us / 1e3).sum();
     if all <= 0.0 {
         0.0
     } else {

@@ -27,9 +27,11 @@ use gw_mesh::{Field, Mesh, ProlongedHalo};
 use gw_obs::{Counter, Phase, Probe};
 use gw_par::{tree_reduce, ThreadPool, UnsafeSlice};
 use gw_stencil::patch::{BLOCK_VOLUME, PATCH_VOLUME};
+use std::ops::Range;
 use std::sync::Arc;
 
-/// Resident buffer slots used by the RK4 driver.
+/// Resident buffer slots used by the RK4 driver; a slot's discriminant
+/// indexes a backend's buffer array.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Buf {
     /// The solution.
@@ -44,13 +46,19 @@ pub enum Buf {
 
 const NUM_BUFS: usize = 4;
 
-fn buf_index(b: Buf) -> usize {
-    match b {
-        Buf::U => 0,
-        Buf::Stage => 1,
-        Buf::K => 2,
-        Buf::Acc => 3,
-    }
+/// Buffer `y` mutably beside buffer `x`, which must differ.
+fn split<T>(bufs: &mut [T; NUM_BUFS], y: Buf, x: Buf) -> (&mut T, &T) {
+    let [y, x] = bufs.get_disjoint_mut([y as usize, x as usize]).expect("distinct buffers");
+    (y, x)
+}
+
+/// Buffer `y` mutably beside buffers `base` and `x`, neither of them `y`.
+fn split3<T>(bufs: &mut [T; NUM_BUFS], y: Buf, base: Buf, x: Buf) -> (&mut T, &T, &T) {
+    let mut refs = bufs.each_mut().map(Some);
+    let out = refs[y as usize].take().expect("one output buffer");
+    let inputs = refs.map(|r| r.map(|r| &*r));
+    let input = |b: Buf| inputs[b as usize].expect("the output buffer is an input");
+    (out, input(base), input(x))
 }
 
 /// Which `A`-component implementation the RHS uses.
@@ -260,7 +268,7 @@ pub trait Backend: Send {
     /// Full RHS evaluation: octant-to-patch then RHS kernel, as two phase
     /// spans.
     fn eval_rhs(&mut self, mesh: &Mesh, input: Buf, output: Buf) {
-        assert_ne!(buf_index(input), buf_index(output));
+        assert_ne!(input, output);
         let probe = self.probe().clone();
         let (patches, points) = self.scatter_stats();
         probe.add(Counter::PatchesProcessed, patches);
@@ -305,17 +313,26 @@ pub trait Backend: Send {
 /// `threads = 1` it degenerates to the original sequential reference;
 /// results are bit-identical at every thread count (every output slot has
 /// exactly one writer, and reductions are fixed-order — see DESIGN.md).
+///
+/// It evolves a contiguous range of *owned* octants, stored first (slot
+/// `e − owned.start`), followed by read-only *ghost* octants. A
+/// single-rank backend owns the whole mesh and has no ghosts; a
+/// distributed rank's backend stores only its own octants and the ghosts
+/// they read (DESIGN.md §21). The AXPYs cover the owned slots only.
 pub struct CpuBackend {
-    rhs: OctantRhs,
+    rhs: Arc<OctantRhs>,
     bufs: [Field; NUM_BUFS],
-    /// The prolonged boxes of every coarse source, and those sources.
+    /// The prolonged boxes of every coarse source the owned octants
+    /// read, and every such source.
     halo: ProlongedHalo,
-    sources: Vec<u32>,
+    sources: Arc<[u32]>,
+    /// The owned octants, as a range and as the list `rhs_raw` evaluates.
+    owned: Range<usize>,
+    octants: Arc<[usize]>,
     /// The buffer the last `o2p_raw` prolonged: `rhs_raw`'s input.
     o2p_input: Option<Buf>,
     pool: Arc<ThreadPool>,
     probe: Probe,
-    n_oct: usize,
     /// Accumulated (derivative flops, A flops) across eval_rhs calls.
     pub flops: (u64, u64),
 }
@@ -329,19 +346,88 @@ impl CpuBackend {
     /// Backend with an explicit worker count (`0` = `GW_THREADS` env or
     /// available parallelism).
     pub fn with_threads(mesh: &Mesh, params: BssnParams, kind: RhsKind, threads: usize) -> Self {
-        let n = mesh.n_octants();
-        let halo = ProlongedHalo::new(mesh, NUM_VARS, 0..n);
+        let rhs = Arc::new(OctantRhs::new(mesh, params, kind));
+        Self::local(mesh, rhs, threads, 0..mesh.n_octants(), &[])
+    }
+
+    /// Backend evolving the `owned` octants, with storage for them and
+    /// for the `ghosts` (ascending, outside `owned`) they read.
+    pub(crate) fn local(
+        mesh: &Mesh,
+        rhs: Arc<OctantRhs>,
+        threads: usize,
+        owned: Range<usize>,
+        ghosts: &[u32],
+    ) -> Self {
+        let stored: Vec<u32> =
+            owned.clone().map(|e| e as u32).chain(ghosts.iter().copied()).collect();
+        let halo = ProlongedHalo::new(mesh, NUM_VARS, owned.clone(), &stored);
         Self {
-            rhs: OctantRhs::new(mesh, params, kind),
-            bufs: std::array::from_fn(|_| Field::zeros(NUM_VARS, n)),
-            sources: halo.sources().to_vec(),
+            rhs,
+            bufs: std::array::from_fn(|_| Field::zeros(NUM_VARS, stored.len())),
+            sources: halo.sources().into(),
             halo,
+            octants: owned.clone().collect(),
+            owned,
             o2p_input: None,
             pool: ThreadPool::shared(threads),
             probe: Probe::disabled(),
-            n_oct: n,
             flops: (0, 0),
         }
+    }
+
+    /// The solution buffer, giving up the backend.
+    pub(crate) fn into_solution(self) -> Field {
+        let [u, ..] = self.bufs;
+        u
+    }
+
+    /// Every halo source of the owned octants (ascending global ids).
+    pub(crate) fn sources(&self) -> &[u32] {
+        &self.sources
+    }
+
+    /// A resident buffer, in the backend's storage order.
+    pub(crate) fn buf(&self, b: Buf) -> &Field {
+        &self.bufs[b as usize]
+    }
+
+    pub(crate) fn buf_mut(&mut self, b: Buf) -> &mut Field {
+        &mut self.bufs[b as usize]
+    }
+
+    /// Prolong the listed halo sources (ascending global ids) of `input`
+    /// into the halo: the `o2p` work ahead of [`CpuBackend::evaluate`].
+    pub(crate) fn prolong(&mut self, input: Buf, sources: &[u32]) {
+        self.halo.fill(&self.bufs[input as usize], sources, &self.pool);
+    }
+
+    /// RHS of the listed owned octants (ascending global ids) of `input`
+    /// into their slots of `output`, one task per octant as in the GPU
+    /// backend's `grid1(n)` RHS launch. The halo must hold `input`'s boxes
+    /// of every source these octants read.
+    pub(crate) fn evaluate(&mut self, mesh: &Mesh, input: Buf, output: Buf, octants: &[usize]) {
+        let ascending = octants.windows(2).all(|w| w[0] < w[1]);
+        assert!(ascending && octants.iter().all(|e| self.owned.contains(e)), "owned, ascending");
+        let (rhs, halo, probe) = (&self.rhs, &self.halo, &self.probe);
+        let (start, n) = (self.owned.start, self.bufs[0].n_oct);
+        let (out, input) = split(&mut self.bufs, output, input);
+        let out = UnsafeSlice::new(out.as_mut_slice());
+        let per_oct: Vec<(u64, u64)> = self.pool.map(octants.len(), |i| {
+            let e = octants[i];
+            let mut out_blocks: [&mut [f64]; NUM_VARS] = std::array::from_fn(|v| {
+                // Safety: the listed octants are distinct owned octants
+                // (asserted above), so task i exclusively owns octant
+                // e's output blocks.
+                unsafe { out.slice_mut((v * n + e - start) * BLOCK_VOLUME, BLOCK_VOLUME) }
+            });
+            rhs.gather_eval(mesh, e, input, halo, &mut out_blocks, probe)
+        });
+        // Fixed-order reduction (u64 sums are order-independent anyway;
+        // kept tree-shaped for policy uniformity).
+        let (df, af) = tree_reduce(&per_oct, (0u64, 0u64), |a, b| (a.0 + b.0, a.1 + b.1));
+        self.flops.0 += df;
+        self.flops.1 += af;
     }
 }
 
@@ -363,10 +449,12 @@ impl Backend for CpuBackend {
     }
 
     fn scatter_stats(&self) -> (u64, u64) {
-        (self.n_oct as u64, (NUM_VARS * self.n_oct * PATCH_VOLUME) as u64)
+        let n = self.owned.len();
+        (n as u64, (NUM_VARS * n * PATCH_VOLUME) as u64)
     }
 
     fn upload_raw(&mut self, u: &Field) {
+        assert_eq!(u.n_oct, self.bufs[0].n_oct, "state of another layout");
         self.bufs[0] = u.clone();
     }
 
@@ -375,75 +463,36 @@ impl Backend for CpuBackend {
     }
 
     fn o2p_raw(&mut self, _mesh: &Mesh, input: Buf) {
-        self.halo.fill(&self.bufs[buf_index(input)], &self.sources, &self.pool);
+        let sources = Arc::clone(&self.sources);
+        self.prolong(input, &sources);
         self.o2p_input = Some(input);
     }
 
     fn rhs_raw(&mut self, mesh: &Mesh, output: Buf) {
         let input = self.o2p_input.expect("rhs_raw evaluates the input of a preceding o2p_raw");
-        let n = mesh.n_octants();
-        let (rhs, halo, probe) = (&self.rhs, &self.halo, &self.probe);
-        let (out, input) = two_mut(&mut self.bufs, buf_index(output), buf_index(input));
-        let out = UnsafeSlice::new(out.as_mut_slice());
-        // One task per octant, as in the GPU backend's `grid1(n)` RHS
-        // launch.
-        let per_oct: Vec<(u64, u64)> = self.pool.map(n, |e| {
-            let mut out_blocks: [&mut [f64]; NUM_VARS] = std::array::from_fn(|v| {
-                // Safety: task e exclusively owns octant e's output
-                // blocks for all variables.
-                unsafe { out.slice_mut((v * n + e) * BLOCK_VOLUME, BLOCK_VOLUME) }
-            });
-            rhs.gather_eval(mesh, e, input, halo, &mut out_blocks, probe)
-        });
-        // Fixed-order reduction (u64 sums are order-independent anyway;
-        // kept tree-shaped for policy uniformity).
-        let (df, af) = tree_reduce(&per_oct, (0u64, 0u64), |a, b| (a.0 + b.0, a.1 + b.1));
-        self.flops.0 += df;
-        self.flops.1 += af;
+        let octants = Arc::clone(&self.octants);
+        self.evaluate(mesh, input, output, &octants);
     }
 
     fn axpy_raw(&mut self, y: Buf, a: f64, x: Buf) {
-        let (yi, xi) = (buf_index(y), buf_index(x));
-        assert_ne!(yi, xi);
-        let pool = self.pool.clone();
-        let (ys, xs) = two_mut(&mut self.bufs, yi, xi);
-        ys.axpy_par(a, xs, &pool);
+        let (ys, xs) = split(&mut self.bufs, y, x);
+        ys.axpy_par(a, xs, self.owned.len(), &self.pool);
     }
 
     fn assign_axpy_raw(&mut self, y: Buf, base: Buf, a: f64, x: Buf) {
-        let yi = buf_index(y);
-        let (bi, xi) = (buf_index(base), buf_index(x));
-        assert!(yi != bi && yi != xi);
-        // Clone-free triple borrow via raw split.
-        let ptr = self.bufs.as_mut_ptr();
-        // Safety: indices are pairwise distinct.
-        unsafe {
-            let ys = &mut *ptr.add(yi);
-            let bs = &*ptr.add(bi);
-            let xs = &*ptr.add(xi);
-            ys.assign_axpy_par(bs, a, xs, &self.pool);
-        }
+        let (ys, bs, xs) = split3(&mut self.bufs, y, base, x);
+        ys.assign_axpy_par(bs, a, xs, self.owned.len(), &self.pool);
     }
 
     fn copy_raw(&mut self, dst: Buf, src: Buf) {
-        let (di, si) = (buf_index(dst), buf_index(src));
-        assert_ne!(di, si);
-        let pool = self.pool.clone();
-        let (d, s) = two_mut(&mut self.bufs, di, si);
-        d.copy_from_par(s, &pool);
+        let (d, s) = split(&mut self.bufs, dst, src);
+        d.copy_from_par(s, self.owned.len(), &self.pool);
     }
 
     fn sync_interfaces_raw(&mut self, mesh: &Mesh) {
-        let pool = self.pool.clone();
-        sync_interfaces_par(mesh, &mut self.bufs[0], &pool);
+        assert_eq!(self.owned, 0..mesh.n_octants(), "a rank applies its own syncs");
+        sync_interfaces_par(mesh, &mut self.bufs[0], &self.pool);
     }
-}
-
-fn two_mut(bufs: &mut [Field; NUM_BUFS], a: usize, b: usize) -> (&mut Field, &Field) {
-    assert_ne!(a, b);
-    let ptr = bufs.as_mut_ptr();
-    // Safety: a != b.
-    unsafe { (&mut *ptr.add(a), &*ptr.add(b)) }
 }
 
 /// Simulated-GPU backend: block-per-octant kernels on a `gw-gpu-sim`
@@ -497,7 +546,7 @@ impl GpuBackend {
                 const { std::cell::RefCell::new(None) };
         }
         let n = self.n_oct;
-        let inp = self.device.kernel_view(&self.bufs[buf_index(input)]);
+        let inp = self.device.kernel_view(&self.bufs[input as usize]);
         let patches = self.device.kernel_view_mut(&mut self.patches);
         let prolong = Prolongation::new();
         let table_len = prolong.table_len();
@@ -570,11 +619,38 @@ impl GpuBackend {
         });
     }
 
+    /// The RK AXPY kernel, in 4096-element blocks: `y = base + a·x`, or
+    /// `y += a·x` in place without a `base`.
+    fn axpy_kernel(&mut self, label: &'static str, y: Buf, base: Option<Buf>, a: f64, x: Buf) {
+        let (yb, bb, xb) = split3(&mut self.bufs, y, base.unwrap_or(x), x);
+        let len = yb.len();
+        let bs = base.map(|_| self.device.kernel_view(bb));
+        let xs = self.device.kernel_view(xb);
+        let ys = self.device.kernel_view_mut(yb);
+        self.device.launch(LaunchConfig::grid1(len.div_ceil(4096), label), |ctx| {
+            let s = ctx.bx * 4096;
+            let e = (s + 4096).min(len);
+            // Safety: disjoint chunks.
+            let yv = unsafe { ys.slice_mut(s, e - s) };
+            match bs {
+                Some(bs) => {
+                    for ((yy, &b), &x) in yv.iter_mut().zip(&bs[s..e]).zip(&xs[s..e]) {
+                        *yy = b + a * x;
+                    }
+                }
+                None => yv.iter_mut().zip(&xs[s..e]).for_each(|(yy, &x)| *yy += a * x),
+            }
+            ctx.global_load(2 * (e - s));
+            ctx.global_store(e - s);
+            ctx.flops(2 * (e - s) as u64);
+        });
+    }
+
     /// Fused RHS kernel: grid `(|E|)`, one block per octant patch.
     fn rhs_kernel(&mut self, mesh: &Mesh, output: Buf) {
         let n = self.n_oct;
         let patches = self.device.kernel_view(&self.patches);
-        let out = self.device.kernel_view_mut(&mut self.bufs[buf_index(output)]);
+        let out = self.device.kernel_view_mut(&mut self.bufs[output as usize]);
         let rhs = &self.rhs;
         let spill_per_point = rhs
             .tape()
@@ -650,60 +726,15 @@ impl Backend for GpuBackend {
     }
 
     fn axpy_raw(&mut self, y: Buf, a: f64, x: Buf) {
-        let (yi, xi) = (buf_index(y), buf_index(x));
-        assert_ne!(yi, xi);
-        let len = self.bufs[yi].len();
-        let ptr = self.bufs.as_mut_ptr();
-        // Safety: distinct indices.
-        let (yb, xb) = unsafe { (&mut *ptr.add(yi), &*ptr.add(xi)) };
-        let xs = self.device.kernel_view(xb);
-        let ys = self.device.kernel_view_mut(yb);
-        let blocks = len.div_ceil(4096);
-        self.device.launch(LaunchConfig::grid1(blocks, "axpy"), |ctx| {
-            let s = ctx.bx * 4096;
-            let e = (s + 4096).min(len);
-            // Safety: disjoint chunks.
-            let yv = unsafe { ys.slice_mut(s, e - s) };
-            for (yy, &xx) in yv.iter_mut().zip(xs[s..e].iter()) {
-                *yy += a * xx;
-            }
-            ctx.global_load(2 * (e - s));
-            ctx.global_store(e - s);
-            ctx.flops(2 * (e - s) as u64);
-        });
+        self.axpy_kernel("axpy", y, None, a, x);
     }
 
     fn assign_axpy_raw(&mut self, y: Buf, base: Buf, a: f64, x: Buf) {
-        let (yi, bi, xi) = (buf_index(y), buf_index(base), buf_index(x));
-        assert!(yi != bi && yi != xi);
-        let len = self.bufs[yi].len();
-        let ptr = self.bufs.as_mut_ptr();
-        // Safety: pairwise distinct.
-        let (yb, bb, xb) = unsafe { (&mut *ptr.add(yi), &*ptr.add(bi), &*ptr.add(xi)) };
-        let bs = self.device.kernel_view(bb);
-        let xs = self.device.kernel_view(xb);
-        let ys = self.device.kernel_view_mut(yb);
-        let blocks = len.div_ceil(4096);
-        self.device.launch(LaunchConfig::grid1(blocks, "assign-axpy"), |ctx| {
-            let s = ctx.bx * 4096;
-            let e = (s + 4096).min(len);
-            // Safety: disjoint chunks.
-            let yv = unsafe { ys.slice_mut(s, e - s) };
-            for i in 0..(e - s) {
-                yv[i] = bs[s + i] + a * xs[s + i];
-            }
-            ctx.global_load(2 * (e - s));
-            ctx.global_store(e - s);
-            ctx.flops(2 * (e - s) as u64);
-        });
+        self.axpy_kernel("assign-axpy", y, Some(base), a, x);
     }
 
     fn copy_raw(&mut self, dst: Buf, src: Buf) {
-        let (di, si) = (buf_index(dst), buf_index(src));
-        assert_ne!(di, si);
-        let ptr = self.bufs.as_mut_ptr();
-        // Safety: distinct.
-        let (db, sb) = unsafe { (&mut *ptr.add(di), &*ptr.add(si)) };
+        let (db, sb) = split(&mut self.bufs, dst, src);
         self.device.d2d(sb, db);
     }
 
@@ -783,11 +814,11 @@ mod tests {
             cpu.eval_rhs(&mesh, Buf::U, Buf::K);
             gpu.eval_rhs(&mesh, Buf::U, Buf::K);
             // Compare the K buffers.
-            let ck = cpu.bufs[buf_index(Buf::K)].clone();
+            let ck = cpu.bufs[Buf::K as usize].clone();
             let gk = Field::from_vec(
                 NUM_VARS,
                 mesh.n_octants(),
-                gpu.device.dtoh(&gpu.bufs[buf_index(Buf::K)]),
+                gpu.device.dtoh(&gpu.bufs[Buf::K as usize]),
             );
             for (a, b) in ck.as_slice().iter().zip(gk.as_slice().iter()) {
                 assert_eq!(a, b, "CPU and GPU RHS must agree bitwise");

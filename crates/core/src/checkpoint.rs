@@ -520,18 +520,19 @@ pub fn manifest_path(dir: &str) -> String {
 }
 
 /// Phase 1 of the distributed commit: write one rank's shard, the
-/// octants `h` names of the global `state`, atomically. The shard is
-/// encoded straight from the field's blocks in one pass. Returns the
+/// octants `h` names, atomically. `local` is the rank's storage, which
+/// holds them first: octant `h.start_octant + i` in slot `i`. The shard
+/// is encoded straight from the field's blocks in one pass. Returns the
 /// body's CRC (the shard's seal trailer) and the file's byte length, for
 /// the manifest.
 pub fn write_shard(
     dir: &str,
     h: &ShardHeader,
-    state: &Field,
+    local: &Field,
 ) -> Result<(u32, u64), CheckpointError> {
     std::fs::create_dir_all(dir)
         .map_err(|e| CheckpointError::Io { path: dir.into(), error: e.to_string() })?;
-    let blocks = h.octants().flat_map(|o| (0..NUM_VARS).map(move |v| state.block(v, o)));
+    let blocks = (0..h.n_octants).flat_map(|i| (0..NUM_VARS).map(move |v| local.block(v, i)));
     let (bytes, crc) = encode_shard_from(h, h.n_octants * NUM_VARS * BLOCK_VOLUME, blocks);
     write_atomic(&shard_path(dir, h.rank), bytes.as_slice())?;
     Ok((crc, bytes.len() as u64))
@@ -831,6 +832,18 @@ mod tests {
         assert_eq!(back, shard);
     }
 
+    /// The blocks of `state`'s octants `h.octants()`, stored from slot 0
+    /// as a rank stores its own.
+    fn shard_storage(state: &Field, h: &ShardHeader) -> Field {
+        let mut local = Field::zeros(NUM_VARS, h.n_octants);
+        for (i, o) in h.octants().enumerate() {
+            for v in 0..NUM_VARS {
+                local.block_mut(v, i).copy_from_slice(state.block(v, o));
+            }
+        }
+        local
+    }
+
     /// Write the shards of `s`'s state split at `offsets` under `dir`,
     /// and return the manifest that would commit them.
     fn write_shards(dir: &str, s: &GwSolver, offsets: &[usize]) -> DistManifest {
@@ -844,7 +857,7 @@ mod tests {
                 time: s.time,
                 steps_taken: s.steps_taken,
             };
-            let (crc, len) = write_shard(dir, &h, &state).unwrap();
+            let (crc, len) = write_shard(dir, &h, &shard_storage(&state, &h)).unwrap();
             crcs.push(crc);
             lens.push(len);
         }
@@ -937,7 +950,7 @@ mod tests {
         s.step();
         write_shards(&later, &s, &offsets);
         let forged = temp_dir("gw_amr_dist_ckpt_swap_forged");
-        write_shard(&forged, &victim, &s.state()).unwrap();
+        write_shard(&forged, &victim, &shard_storage(&s.state(), &victim)).unwrap();
         let own = std::fs::read(shard_path(&dir, 1)).unwrap();
         for stranger in [shard_path(&dir, 0), shard_path(&later, 1), shard_path(&forged, 1)] {
             let bytes = std::fs::read(&stranger).unwrap();

@@ -1,43 +1,49 @@
 //! Distributed (multi-rank / multi-GPU) evolution, driven by
 //! [`Run::distributed`](crate::run::Run::distributed).
 //!
-//! Octants are partitioned across ranks along the space-filling curve;
-//! each rank evolves its contiguous range, exchanging ghost octant blocks
-//! with neighbor ranks before every RHS evaluation (the `halo_exchange`
-//! of Algorithm 1). Every rank runs the configured RHS through the same
-//! per-octant step as the single-rank backends, so the distributed
-//! result is bit-identical to the single-rank run — which the tests
-//! assert; the value of this module for the paper's experiments is the
-//! *metered traffic* feeding the scaling models (Figs. 17/18/20).
+//! Octants are partitioned across ranks along the space-filling curve.
+//! Each rank is a [`Backend`]: a [`RankBackend`] around a [`CpuBackend`]
+//! that stores only the rank's owned octants and the ghost octants they
+//! read, advanced by the same [`Rk4::step`] as a single-rank run. The rank
+//! backend exchanges ghost blocks with its neighbors before every RHS
+//! evaluation and before the interface sync (the `halo_exchange` of
+//! Algorithm 1). Every rank runs the configured RHS through the same
+//! per-octant step as the single-rank backends, so the distributed result
+//! is bit-identical to the single-rank run — which the tests assert; the
+//! value of this module for the paper's experiments is the *metered
+//! traffic* feeding the scaling models (Figs. 17/18/20).
 //!
-//! With [`WorldConfig::overlap`] set, each RK stage runs the
+//! With [`WorldConfig::overlap`] set, each exchange runs the
 //! dependency-aware overlapped schedule instead of the blocking one:
 //! sends are posted first, the rank's *interior* octants (those whose
 //! gather stencil reads only owned blocks) are evaluated on a worker
 //! pool while the ghosts are in flight, and the *boundary* octants
-//! finish after the nonblocking receives complete. The classification
-//! is static per partition, every output slot keeps exactly one writer,
-//! and reductions stay fixed-order, so the overlapped result is
-//! bit-identical to the blocking one (see DESIGN.md §11).
+//! finish after the receives complete. The classification is static per
+//! partition, every output slot keeps exactly one writer, and reductions
+//! stay fixed-order, so the overlapped result is bit-identical to the
+//! blocking one (see DESIGN.md §11 and §21).
 
-use crate::backend::OctantRhs;
+use crate::backend::{Backend, Buf, CpuBackend, OctantRhs};
 use crate::checkpoint::{self, CheckpointError, DistManifest, ShardHeader};
+use crate::rk4::Rk4;
 use crate::solver::SolverConfig;
 use gw_comm::world::WorldConfig;
-use gw_comm::{CommError, CrcBuf, GhostPlan, GhostSchedule, RankCtx, RecvHandle, World};
+use gw_comm::{CommError, CrcBuf, GhostPlan, GhostSchedule, RankCtx, World};
 use gw_expr::symbols::NUM_VARS;
-use gw_mesh::{Field, Mesh, ProlongedHalo};
+use gw_mesh::{Field, Mesh};
 use gw_obs::{Counter, Phase, Probe};
-use gw_octree::partition::partition_uniform;
-use gw_par::{ThreadPool, UnsafeSlice};
+use gw_octree::partition::{partition_uniform, PartitionMap};
 use gw_stencil::patch::BLOCK_VOLUME;
 use std::ops::Range;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Result of a distributed run.
 #[derive(Debug)]
 pub struct DistributedResult {
     pub state: Field,
+    /// The simulated time of `state`.
+    pub time: f64,
     /// Per-rank (messages, bytes) sent.
     pub traffic: Vec<(u64, u64)>,
     /// Per-rank owned-octant × step work counts.
@@ -69,9 +75,10 @@ fn stage_tag(step: usize, stage: u64) -> u64 {
 /// The post-update interface-sync exchange slot of [`stage_tag`].
 const STAGE_SYNC: u64 = 4;
 
-/// The message carrying the ghost blocks of `list` (all 24 vars of each
-/// octant, in that order), serialized straight from `field`'s blocks and
-/// checksummed block by block while each is in cache.
+/// The message carrying the blocks of the listed storage slots (all 24
+/// vars of each octant, in that order), serialized straight from
+/// `field`'s blocks and checksummed block by block while each is in
+/// cache.
 fn ghost_payload(field: &Field, list: &[u32]) -> CrcBuf {
     let mut buf = CrcBuf::with_capacity(list.len() * NUM_VARS * BLOCK_VOLUME * 8);
     for &oct in list {
@@ -82,42 +89,20 @@ fn ghost_payload(field: &Field, list: &[u32]) -> CrcBuf {
     buf
 }
 
-/// Post the sends and nonblocking receives of one halo exchange (all 24
-/// vars of each octant the plan lists) and return the in-flight receive
-/// handles, one per neighbor in rank order.
-fn post_exchange<'c>(
-    ctx: &'c RankCtx<'c>,
-    plan: &GhostPlan,
-    field: &Field,
-    tag: u64,
-) -> Vec<RecvHandle<'c, 'c>> {
-    let r = ctx.rank();
-    for q in 0..ctx.size() {
-        let list = &plan.sends[r][q];
-        if !list.is_empty() {
-            ctx.send_buf(q, tag, ghost_payload(field, list));
-        }
-    }
-    (0..ctx.size()).filter(|&q| !plan.recvs[r][q].is_empty()).map(|q| ctx.irecv(q, tag)).collect()
-}
-
-/// Complete the receives posted by [`post_exchange`], decoding ghost
-/// blocks straight into `field`. Receives are checked before any block
-/// is decoded: a dropped, truncated, or corrupted message surfaces as a
-/// [`CommError`] — the field is never partially updated from a bad
-/// payload.
+/// Receive the ghost blocks posted by [`RankBackend::post`] from each rank
+/// `q`, in rank order, decoding them straight into the storage slots
+/// `recvs[q]` of `field`. Each payload is checked before any of its
+/// blocks is decoded: a dropped, truncated, or corrupted message surfaces
+/// as a [`CommError`] — the field is never updated from a bad payload.
 fn finish_exchange(
     ctx: &RankCtx<'_>,
-    plan: &GhostPlan,
+    recvs: &[Vec<u32>],
     field: &mut Field,
     tag: u64,
-    handles: Vec<RecvHandle<'_, '_>>,
 ) -> Result<(), CommError> {
     let r = ctx.rank();
-    for mut h in handles {
-        let q = h.src();
-        let list = &plan.recvs[r][q];
-        let payload = h.wait_delivered()?;
+    for (q, list) in recvs.iter().enumerate().filter(|(_, list)| !list.is_empty()) {
+        let payload = ctx.irecv(q, tag).wait_delivered()?;
         if payload.words() != list.len() * NUM_VARS * BLOCK_VOLUME {
             return Err(CommError::Truncated {
                 src: q,
@@ -128,26 +113,14 @@ fn finish_exchange(
             });
         }
         let mut off = 0;
-        for &oct in list {
+        for &slot in list {
             for v in 0..NUM_VARS {
-                payload.decode_into(off, field.block_mut(v, oct as usize));
+                payload.decode_into(off, field.block_mut(v, slot as usize));
                 off += BLOCK_VOLUME;
             }
         }
     }
     Ok(())
-}
-
-/// The blocking halo exchange: the overlapped path's messages, tags and
-/// checks, with nothing computed while they travel.
-fn exchange(
-    ctx: &RankCtx<'_>,
-    plan: &GhostPlan,
-    field: &mut Field,
-    tag: u64,
-) -> Result<(), CommError> {
-    let handles = post_exchange(ctx, plan, field, tag);
-    finish_exchange(ctx, plan, field, tag, handles)
 }
 
 /// Static dependency classification of one rank's owned octants, built
@@ -212,155 +185,242 @@ fn classify_owned(mesh: &Mesh, owned: &Range<usize>) -> OwnedSplit {
     OwnedSplit { interior, boundary, syncs_local, syncs_ghost }
 }
 
-/// Apply the listed `mesh.syncs` entries (sync-outer, variable-inner).
-fn apply_syncs(mesh: &Mesh, indices: &[usize], u: &mut Field) {
+/// Apply the listed `mesh.syncs` entries (sync-outer, variable-inner) to
+/// a field whose storage slot of octant `e` is `slot_of[e]`.
+fn apply_syncs(mesh: &Mesh, indices: &[usize], slot_of: &[u32], u: &mut Field) {
     for &i in indices {
         let c = &mesh.syncs[i];
+        let (src, dst) =
+            (slot_of[c.src_oct as usize] as usize, slot_of[c.dst_oct as usize] as usize);
         for v in 0..NUM_VARS {
-            let sv = u.block(v, c.src_oct as usize)[c.src_idx as usize];
-            u.block_mut(v, c.dst_oct as usize)[c.dst_idx as usize] = sv;
+            let sv = u.block(v, src)[c.src_idx as usize];
+            u.block_mut(v, dst)[c.dst_idx as usize] = sv;
         }
     }
 }
 
-/// What evaluating an octant reads besides its input field and halo:
-/// shared by every evaluating thread of a rank.
-#[derive(Clone, Copy)]
-struct Evaluator<'a> {
-    mesh: &'a Mesh,
-    rhs: &'a OctantRhs,
-    probe: &'a Probe,
-}
-
-/// The rank's halo sources split by owner: the owned ones can be
-/// prolonged before the ghosts arrive, the ghost ones only after.
-fn split_sources(halo: &ProlongedHalo, owned: &Range<usize>) -> (Vec<u32>, Vec<u32>) {
-    halo.sources().iter().partition(|&&s| owned.contains(&(s as usize)))
-}
-
-/// [`OctantRhs::gather_eval`] over an explicit list of owned octants on
-/// the rank's pool (inline on the rank thread for the blocking schedule).
-/// Each octant's output blocks in the owned-only `out` have exactly one
-/// writer, so the result is bit-identical at any thread count and any
-/// list order.
-fn eval_rhs_list(
-    st: &StageCtx<'_, '_>,
-    list: &[usize],
-    input: &Field,
-    halo: &ProlongedHalo,
-    out: &mut Field,
-) {
-    let ev = st.ev;
-    let (base, n_local) = (st.owned.start, out.n_oct);
-    let out_s = UnsafeSlice::new(out.as_mut_slice());
-    st.pool.for_each(list.len(), |i| {
-        let e = list[i];
-        // Safety: octants in `list` are distinct, so output blocks
-        // (v, e) belong to this iteration alone.
-        let mut out_blocks: [&mut [f64]; NUM_VARS] = std::array::from_fn(|v| unsafe {
-            out_s.slice_mut((v * n_local + e - base) * BLOCK_VOLUME, BLOCK_VOLUME)
-        });
-        ev.rhs.gather_eval(ev.mesh, e, input, halo, &mut out_blocks, ev.probe);
-    });
-}
-
-/// Everything one RK stage needs besides the fields: the exchange plan,
-/// the evaluator state, the static classification and halo source split,
-/// and the worker pool.
-struct StageCtx<'a, 'w> {
-    ctx: &'a RankCtx<'w>,
-    plan: &'a GhostPlan,
-    ev: Evaluator<'a>,
-    owned: Range<usize>,
-    split: &'a OwnedSplit,
+/// One rank as a [`Backend`]: a [`CpuBackend`] over the rank's storage
+/// (owned octant `e` in slot `e − owned.start`, then `plan.ghosts_of(r)`
+/// ascending) plus the halo exchange. `o2p_raw` posts the exchange of its
+/// input; `rhs_raw` completes it around the owned halo sources and the
+/// interior octants, then prolongs the ghost sources and evaluates the
+/// boundary octants; `sync_interfaces_raw` exchanges the solution and
+/// applies the owned interface syncs. Every other primitive is the
+/// [`CpuBackend`]'s. A comm error latches: the step's later exchanges
+/// and evaluations are skipped, and the driver returns it after the step.
+pub(crate) struct RankBackend<'w> {
+    cpu: CpuBackend,
+    ctx: RankCtx<'w>,
+    /// Storage slot of each global octant (`u32::MAX` when not stored).
+    slot_of: Vec<u32>,
+    /// The rank's row of the [`GhostPlan`], in storage slots.
+    sends: Vec<Vec<u32>>,
+    recvs: Vec<Vec<u32>>,
+    split: OwnedSplit,
     /// Halo sources the rank owns / receives as ghosts.
-    owned_sources: &'a [u32],
-    ghost_sources: &'a [u32],
-    /// The overlapped schedule (else the blocking one).
+    owned_sources: Vec<u32>,
+    ghost_sources: Vec<u32>,
     overlap: bool,
-    /// The shared worker pool when overlapping; a one-participant pool
-    /// (inline on the rank thread) when blocking.
-    pool: &'a ThreadPool,
+    /// The global step being taken and its next RK stage, which tag the
+    /// exchanges, and the input and tag of the posted RHS exchange.
+    step: usize,
+    stage: u64,
+    posted: Option<(Buf, u64)>,
+    error: Option<CommError>,
 }
 
-/// One halo exchange + RHS evaluation: `out = rhs(field)` over the owned
-/// octants (`out` holds the owned octants only), with ghosts of `field`
-/// refreshed under `tag` and `halo` refilled from `field`. Dispatches to
-/// the blocking schedule or the overlapped one; both produce bit-identical
-/// `out` (single-writer slots, unchanged per-point arithmetic). The
-/// overlapped one prolongs the owned sources and evaluates the interior
-/// octants while the ghosts travel, then prolongs the ghost sources.
-fn rhs_stage(
-    st: &StageCtx<'_, '_>,
-    halo: &mut ProlongedHalo,
-    field: &mut Field,
-    out: &mut Field,
-    tag: u64,
-) -> Result<(), CommError> {
-    let split = st.split;
-    if st.overlap {
-        let handles = post_exchange(st.ctx, st.plan, field, tag);
-        let t0 = Instant::now();
-        {
-            let _s = st.ev.probe.start(Phase::HaloOverlap);
-            halo.fill(field, st.owned_sources, st.pool);
-            eval_rhs_list(st, &split.interior, field, halo, out);
+impl<'w> RankBackend<'w> {
+    /// Rank `ctx.rank()`'s backend on partition `part`, holding `u0`'s
+    /// blocks of its octants, with `world`'s pool size and probe.
+    fn new(
+        ctx: RankCtx<'w>,
+        mesh: &Mesh,
+        rhs: Arc<OctantRhs>,
+        plan: &GhostPlan,
+        part: &PartitionMap,
+        world: &WorldConfig,
+        u0: &Field,
+    ) -> Self {
+        let r = ctx.rank();
+        let owned = part.range(r);
+        let ghosts = plan.ghosts_of(r);
+        let threads = if world.overlap { world.overlap_threads } else { 1 };
+        let mut cpu = CpuBackend::local(mesh, rhs, threads, owned.clone(), &ghosts);
+        cpu.set_probe(world.probe.clone());
+        world.probe.add(Counter::WorkspaceAllocs, 1); // the halo
+        let mut slot_of = vec![u32::MAX; mesh.n_octants()];
+        for (slot, e) in owned.clone().chain(ghosts.iter().map(|&g| g as usize)).enumerate() {
+            slot_of[e] = slot as u32;
         }
-        st.ev.probe.add(Counter::HaloOverlapUs, t0.elapsed().as_micros() as u64);
-        let t1 = Instant::now();
-        {
-            let _s = st.ev.probe.start(Phase::Halo);
-            finish_exchange(st.ctx, st.plan, field, tag, handles)?;
+        let u = cpu.buf_mut(Buf::U);
+        for (e, &slot) in slot_of.iter().enumerate().filter(|&(_, &slot)| slot != u32::MAX) {
+            for v in 0..NUM_VARS {
+                u.block_mut(v, slot as usize).copy_from_slice(u0.block(v, e));
+            }
         }
-        st.ev.probe.add(Counter::HaloWaitUs, t1.elapsed().as_micros() as u64);
-        let _s = st.ev.probe.start(Phase::Rhs);
-        halo.fill(field, st.ghost_sources, st.pool);
-        eval_rhs_list(st, &split.boundary, field, halo, out);
-    } else {
-        {
-            let _s = st.ev.probe.start(Phase::Halo);
-            exchange(st.ctx, st.plan, field, tag)?;
+        let slots = |lists: &[Vec<u32>]| -> Vec<Vec<u32>> {
+            lists.iter().map(|l| l.iter().map(|&e| slot_of[e as usize]).collect()).collect()
+        };
+        let (owned_sources, ghost_sources) =
+            cpu.sources().iter().partition(|&&s| owned.contains(&(s as usize)));
+        Self {
+            cpu,
+            ctx,
+            sends: slots(&plan.sends[r]),
+            recvs: slots(&plan.recvs[r]),
+            slot_of,
+            split: classify_owned(mesh, &owned),
+            owned_sources,
+            ghost_sources,
+            overlap: world.overlap,
+            step: 0,
+            stage: 0,
+            posted: None,
+            error: None,
         }
-        let _s = st.ev.probe.start(Phase::Rhs);
-        halo.fill(field, st.owned_sources, st.pool);
-        halo.fill(field, st.ghost_sources, st.pool);
-        eval_rhs_list(st, &split.interior, field, halo, out);
-        eval_rhs_list(st, &split.boundary, field, halo, out);
     }
-    Ok(())
+
+    /// Start global step `step`: its exchanges carry its tags.
+    fn begin_step(&mut self, step: usize) {
+        (self.step, self.stage) = (step, 0);
+    }
+
+    /// Post the sends of the exchange of `buf` under `tag`: to each rank
+    /// `q`, the blocks of the slots `sends[q]` lists. Nothing once an
+    /// error latched.
+    fn post(&self, buf: Buf, tag: u64) {
+        if self.error.is_some() {
+            return;
+        }
+        for (q, list) in self.sends.iter().enumerate().filter(|(_, list)| !list.is_empty()) {
+            self.ctx.send_buf(q, tag, ghost_payload(self.cpu.buf(buf), list));
+        }
+    }
+
+    /// Complete the exchange of `buf`'s ghosts posted under `tag` around
+    /// two pieces of work: `local` reads owned blocks only, `remote` the
+    /// ghosts too. Overlapped, `local` runs while the ghosts travel;
+    /// blocking, after they arrive. Does nothing once an error latched.
+    fn complete_exchange(
+        &mut self,
+        buf: Buf,
+        tag: u64,
+        local: impl FnOnce(&mut Self),
+        remote: impl FnOnce(&mut Self),
+    ) {
+        if self.error.is_some() {
+            return;
+        }
+        let probe = self.cpu.probe().clone();
+        if self.overlap {
+            let t0 = Instant::now();
+            {
+                let _s = probe.start(Phase::HaloOverlap);
+                local(self);
+            }
+            probe.add(Counter::HaloOverlapUs, t0.elapsed().as_micros() as u64);
+            let t1 = Instant::now();
+            let arrived = self.receive(buf, tag, &probe);
+            probe.add(Counter::HaloWaitUs, t1.elapsed().as_micros() as u64);
+            if !arrived {
+                return;
+            }
+        } else {
+            if !self.receive(buf, tag, &probe) {
+                return;
+            }
+            local(self);
+        }
+        remote(self);
+    }
+
+    /// The ghost receives of `tag` into `buf`, under the `halo` phase.
+    /// False, with the error latched, when one fails.
+    fn receive(&mut self, buf: Buf, tag: u64, probe: &Probe) -> bool {
+        let _s = probe.start(Phase::Halo);
+        self.error = finish_exchange(&self.ctx, &self.recvs, self.cpu.buf_mut(buf), tag).err();
+        self.error.is_none()
+    }
 }
 
-/// The post-update ghost refresh + interface sync closing each step.
-/// Overlapped: owned-source syncs run while the ghosts travel, the rest
-/// after arrival. Blocking: both lists run after arrival. Either way the
-/// result is that of the owned syncs in `mesh.syncs` order: the split is
-/// only taken when the owned sync set is order-free (see
-/// [`classify_owned`]).
-fn sync_stage(st: &StageCtx<'_, '_>, u: &mut Field, tag: u64) -> Result<(), CommError> {
-    let split = st.split;
-    if st.overlap {
-        let handles = post_exchange(st.ctx, st.plan, u, tag);
-        let t0 = Instant::now();
-        {
-            let _s = st.ev.probe.start(Phase::HaloOverlap);
-            apply_syncs(st.ev.mesh, &split.syncs_local, u);
-        }
-        st.ev.probe.add(Counter::HaloOverlapUs, t0.elapsed().as_micros() as u64);
-        let t1 = Instant::now();
-        {
-            let _s = st.ev.probe.start(Phase::Halo);
-            finish_exchange(st.ctx, st.plan, u, tag, handles)?;
-        }
-        st.ev.probe.add(Counter::HaloWaitUs, t1.elapsed().as_micros() as u64);
-    } else {
-        {
-            let _s = st.ev.probe.start(Phase::Halo);
-            exchange(st.ctx, st.plan, u, tag)?;
-        }
-        apply_syncs(st.ev.mesh, &split.syncs_local, u);
+impl Backend for RankBackend<'_> {
+    fn name(&self) -> &'static str {
+        self.cpu.name()
     }
-    apply_syncs(st.ev.mesh, &split.syncs_ghost, u);
-    Ok(())
+
+    fn probe(&self) -> &Probe {
+        self.cpu.probe()
+    }
+
+    fn set_probe(&mut self, probe: Probe) {
+        self.cpu.set_probe(probe);
+    }
+
+    fn n_threads(&self) -> usize {
+        self.cpu.n_threads()
+    }
+
+    fn scatter_stats(&self) -> (u64, u64) {
+        self.cpu.scatter_stats()
+    }
+
+    fn upload_raw(&mut self, u: &Field) {
+        self.cpu.upload_raw(u);
+    }
+
+    fn download_raw(&self) -> Field {
+        self.cpu.download_raw()
+    }
+
+    fn o2p_raw(&mut self, _mesh: &Mesh, input: Buf) {
+        let tag = stage_tag(self.step, self.stage);
+        self.stage += 1;
+        self.post(input, tag);
+        self.posted = Some((input, tag));
+    }
+
+    fn rhs_raw(&mut self, mesh: &Mesh, output: Buf) {
+        let (input, tag) = self.posted.take().expect("rhs_raw completes a preceding o2p_raw");
+        self.complete_exchange(
+            input,
+            tag,
+            |rb| {
+                rb.cpu.prolong(input, &rb.owned_sources);
+                rb.cpu.evaluate(mesh, input, output, &rb.split.interior);
+            },
+            |rb| {
+                rb.cpu.prolong(input, &rb.ghost_sources);
+                rb.cpu.evaluate(mesh, input, output, &rb.split.boundary);
+            },
+        );
+    }
+
+    fn axpy_raw(&mut self, y: Buf, a: f64, x: Buf) {
+        self.cpu.axpy_raw(y, a, x);
+    }
+
+    fn assign_axpy_raw(&mut self, y: Buf, base: Buf, a: f64, x: Buf) {
+        self.cpu.assign_axpy_raw(y, base, a, x);
+    }
+
+    fn copy_raw(&mut self, dst: Buf, src: Buf) {
+        self.cpu.copy_raw(dst, src);
+    }
+
+    /// The post-update ghost refresh and the owned interface syncs: the
+    /// result of the owned syncs in `mesh.syncs` order, since the
+    /// owned-source syncs run ahead only when the set is order-free (see
+    /// [`classify_owned`]).
+    fn sync_interfaces_raw(&mut self, mesh: &Mesh) {
+        let tag = stage_tag(self.step, STAGE_SYNC);
+        self.post(Buf::U, tag);
+        self.complete_exchange(
+            Buf::U,
+            tag,
+            |rb| apply_syncs(mesh, &rb.split.syncs_local, &rb.slot_of, rb.cpu.buf_mut(Buf::U)),
+            |rb| apply_syncs(mesh, &rb.split.syncs_ghost, &rb.slot_of, rb.cpu.buf_mut(Buf::U)),
+        );
+    }
 }
 
 /// Why one span of distributed evolution stopped.
@@ -383,13 +443,15 @@ impl From<CheckpointError> for SpanFailure {
 }
 
 /// One contiguous stretch of distributed evolution: global steps
-/// `start_step..steps` from the state `u0` (authoritative at
-/// `start_step`), optionally taking coordinated snapshots and optionally
-/// fail-stopping one rank (fault injection).
+/// `start_step..steps` from the state `u0`, authoritative at
+/// `start_step` and time `start_time`, with `rk`'s timestep, optionally
+/// taking coordinated snapshots and optionally fail-stopping one rank
+/// (fault injection).
 struct SpanOpts {
     start_step: usize,
+    start_time: f64,
     steps: usize,
-    dt: f64,
+    rk: Rk4,
     /// `(snapshot root, cadence in steps)`.
     snapshot: Option<(String, u64)>,
     kill: Option<KillSpec>,
@@ -399,120 +461,40 @@ fn evolve_span(
     mesh: &Mesh,
     u0: &Field,
     ranks: usize,
-    rhs: &OctantRhs,
+    rhs: &Arc<OctantRhs>,
     world_cfg: WorldConfig,
     opts: SpanOpts,
 ) -> Result<DistributedResult, SpanFailure> {
     let n = mesh.n_octants();
     let part = partition_uniform(n, ranks);
     let plan = GhostSchedule::build(&part, dependencies(mesh).into_iter());
-    let dt = opts.dt;
-    // One probe handle per rank thread: spans carry per-thread ids, and
-    // counters are shared atomics, so concurrent ranks attribute cleanly.
-    let probe = world_cfg.probe.clone();
-
-    let plan_ref = &plan;
-    let part_ref = &part;
-    let start_step = opts.start_step;
-    let steps = opts.steps;
-    let snapshot = opts.snapshot;
-    let kill = opts.kill;
-    let snapshot_ref = &snapshot;
-    let overlap = world_cfg.overlap;
-    let overlap_threads = world_cfg.overlap_threads;
-    let (mut results, traffic) = World::run(ranks, world_cfg, move |ctx| {
+    let SpanOpts { start_step, start_time, steps, rk, snapshot, kill } = opts;
+    let dt = rk.timestep(mesh);
+    // The time after global step `s`, counted from the span's start so a
+    // replay at a degraded dt continues from the time it rolled back to.
+    let time_after = |s: usize| start_time + (s - start_step) as f64 * dt;
+    let (part_ref, plan_ref, snapshot_ref, world_ref) = (&part, &plan, &snapshot, &world_cfg);
+    let (mut results, traffic) = World::run(ranks, world_cfg.clone(), move |ctx| {
         let r = ctx.rank();
         let owned = part_ref.range(r);
-        // `u` and `stage` hold ghosts too; the RHS output `k` and the
-        // accumulator `acc` only the owned octants (index `e − start`).
-        let mut u = u0.clone();
-        let mut stage = Field::zeros(NUM_VARS, n);
-        let mut k = Field::zeros(NUM_VARS, owned.len());
-        let mut acc = Field::zeros(NUM_VARS, owned.len());
-        // The static interior/boundary classification, the halo of the
-        // coarse sources the owned octants read, and the worker pool,
-        // built once per span.
-        let split = classify_owned(mesh, &owned);
-        probe.add(Counter::WorkspaceAllocs, 1);
-        let mut halo = ProlongedHalo::new(mesh, NUM_VARS, owned.clone());
-        let (owned_sources, ghost_sources) = split_sources(&halo, &owned);
-        let pool = ThreadPool::shared(if overlap { overlap_threads } else { 1 });
-        let st = StageCtx {
-            ctx: &ctx,
-            plan: plan_ref,
-            ev: Evaluator { mesh, rhs, probe: &probe },
-            owned: owned.clone(),
-            split: &split,
-            owned_sources: &owned_sources,
-            ghost_sources: &ghost_sources,
-            overlap,
-            pool: &pool,
-        };
+        let probe = &world_ref.probe;
+        let mut rank =
+            RankBackend::new(ctx, mesh, Arc::clone(rhs), plan_ref, part_ref, world_ref, u0);
         let mut work = 0u64;
         for s in start_step..steps {
             // Injected fail-stop: the rank dies here, visibly to the
             // liveness view, exactly as if its process were killed.
             if let Some(k) = kill {
                 if r == k.rank && s == k.at_step {
-                    ctx.declare_dead();
+                    rank.ctx.declare_dead();
                     return Err(SpanFailure::Comm(CommError::RankDead { rank: r, dst: r }));
                 }
             }
-            // k1.
-            rhs_stage(&st, &mut halo, &mut u, &mut k, stage_tag(s, 0))?;
-            for (l, e) in owned.clone().enumerate() {
-                for v in 0..NUM_VARS {
-                    for (a, (b, kk)) in acc
-                        .block_mut(v, l)
-                        .iter_mut()
-                        .zip(u.block(v, e).iter().zip(k.block(v, l).iter()))
-                    {
-                        *a = b + dt / 6.0 * kk;
-                    }
-                    for (s, (b, kk)) in stage
-                        .block_mut(v, e)
-                        .iter_mut()
-                        .zip(u.block(v, e).iter().zip(k.block(v, l).iter()))
-                    {
-                        *s = b + dt / 2.0 * kk;
-                    }
-                }
+            rank.begin_step(s);
+            rk.step(&mut rank, mesh, dt);
+            if let Some(e) = rank.error.take() {
+                return Err(SpanFailure::Comm(e));
             }
-            // k2, k3.
-            for (si, (w_acc, w_stage)) in
-                [(dt / 3.0, dt / 2.0), (dt / 3.0, dt)].into_iter().enumerate()
-            {
-                rhs_stage(&st, &mut halo, &mut stage, &mut k, stage_tag(s, 1 + si as u64))?;
-                for (l, e) in owned.clone().enumerate() {
-                    for v in 0..NUM_VARS {
-                        for (a, kk) in acc.block_mut(v, l).iter_mut().zip(k.block(v, l).iter()) {
-                            *a += w_acc * kk;
-                        }
-                        for (s, (b, kk)) in stage
-                            .block_mut(v, e)
-                            .iter_mut()
-                            .zip(u.block(v, e).iter().zip(k.block(v, l).iter()))
-                        {
-                            *s = b + w_stage * kk;
-                        }
-                    }
-                }
-            }
-            // k4.
-            rhs_stage(&st, &mut halo, &mut stage, &mut k, stage_tag(s, 3))?;
-            for (l, e) in owned.clone().enumerate() {
-                for v in 0..NUM_VARS {
-                    for (uu, (a, kk)) in u
-                        .block_mut(v, e)
-                        .iter_mut()
-                        .zip(acc.block(v, l).iter().zip(k.block(v, l).iter()))
-                    {
-                        *uu = a + dt / 6.0 * kk;
-                    }
-                }
-            }
-            // Interface sync needs updated ghosts.
-            sync_stage(&st, &mut u, stage_tag(s, STAGE_SYNC))?;
             work += owned.len() as u64;
             // Coordinated snapshot: two-phase commit. Every rank writes
             // its shard atomically, the allgather proves all shards are
@@ -528,37 +510,30 @@ fn evolve_span(
                         rank: r,
                         start_octant: owned.start,
                         n_octants: owned.len(),
-                        time: s1 as f64 * dt,
+                        time: time_after(s + 1),
                         steps_taken: s1,
                     };
-                    let (crc, len) = checkpoint::write_shard(&sub, &shard, &u)?;
-                    let metas = ctx.try_allgatherv(&[crc as f64, len as f64])?;
+                    let (crc, len) = checkpoint::write_shard(&sub, &shard, rank.cpu.buf(Buf::U))?;
+                    let metas = rank.ctx.try_allgatherv(&[crc as f64, len as f64])?;
                     if r == 0 {
                         let manifest = DistManifest {
                             domain: mesh.domain,
                             leaves: mesh.octants.iter().map(|o| o.key).collect(),
-                            offsets: (0..=ctx.size())
-                                .map(|q| if q == ctx.size() { n } else { part_ref.range(q).start })
+                            offsets: (0..=ranks)
+                                .map(|q| if q == ranks { n } else { part_ref.range(q).start })
                                 .collect(),
-                            time: s1 as f64 * dt,
+                            time: time_after(s + 1),
                             steps_taken: s1,
                             shard_crcs: metas.iter().map(|m| m[0] as u32).collect(),
                             shard_lens: metas.iter().map(|m| m[1] as u64).collect(),
                         };
                         checkpoint::commit_manifest(&sub, &manifest)?;
                     }
-                    ctx.try_barrier()?;
+                    rank.ctx.try_barrier()?;
                 }
             }
         }
-        // Return owned blocks.
-        let mut owned_data = Vec::with_capacity(owned.len() * NUM_VARS * BLOCK_VOLUME);
-        for e in owned.clone() {
-            for v in 0..NUM_VARS {
-                owned_data.extend_from_slice(u.block(v, e));
-            }
-        }
-        Ok((owned_data, work))
+        Ok((rank.cpu.into_solution(), work))
     });
 
     // If any rank failed, surface the most telling error instead of a
@@ -573,22 +548,21 @@ fn evolve_span(
     if let Some(err) = results.iter().filter_map(|r| r.as_ref().err()).min_by_key(|f| severity(f)) {
         return Err(err.clone());
     }
-    // Reassemble the global state from per-rank owned blocks.
+    // Reassemble the global state from each rank's owned blocks, which
+    // its storage holds first.
     let mut state = Field::zeros(NUM_VARS, n);
     let mut work = Vec::with_capacity(ranks);
     for (r, res) in results.drain(..).enumerate() {
-        let (data, w) = res.expect("error case handled above");
+        let (local, w) = res.expect("error case handled above");
         work.push(w);
-        let mut off = 0;
-        for e in part.range(r) {
+        for (slot, e) in part.range(r).enumerate() {
             for v in 0..NUM_VARS {
-                state.block_mut(v, e).copy_from_slice(&data[off..off + BLOCK_VOLUME]);
-                off += BLOCK_VOLUME;
+                state.block_mut(v, e).copy_from_slice(local.block(v, slot));
             }
         }
     }
     let traffic = traffic.iter().map(|t| (t.messages, t.bytes)).collect();
-    Ok(DistributedResult { state, traffic, work, plan })
+    Ok(DistributedResult { state, time: time_after(steps), traffic, work, plan })
 }
 
 /// Fail-stop fault injection: `rank` dies at the top of global step
@@ -697,22 +671,22 @@ pub(crate) fn evolve(
     world_cfg: WorldConfig,
     resilience: &ResilienceConfig,
 ) -> Result<ResilientOutcome, DistributedError> {
-    let h_min = mesh.octants.iter().map(|o| o.h).fold(f64::INFINITY, f64::min);
-    let mut courant = config.courant;
+    let mut rk = Rk4 { courant: config.courant };
     let mut params = config.params;
     // The tape bakes in `params`, so it is rebuilt only when a degraded
     // retry changes them.
-    let mut rhs = OctantRhs::new(mesh, params, config.rhs_kind);
+    let mut rhs = Arc::new(OctantRhs::new(mesh, params, config.rhs_kind));
     let mut retries = 0u32;
     let mut kill = resilience.kill_once;
-    let mut start_step = 0usize;
+    let (mut start_step, mut start_time) = (0usize, 0.0);
     let mut state = u0.clone();
     let mut events = Vec::new();
     loop {
         let opts = SpanOpts {
             start_step,
+            start_time,
             steps,
-            dt: courant * h_min,
+            rk,
             snapshot: resilience
                 .checkpoint_dir
                 .clone()
@@ -744,19 +718,19 @@ pub(crate) fn evolve(
             Some(dir) => {
                 let cp =
                     checkpoint::load_distributed(&dir).map_err(DistributedError::Checkpoint)?;
-                start_step = cp.manifest.steps_taken as usize;
+                (start_step, start_time) = (cp.manifest.steps_taken as usize, cp.manifest.time);
                 state = cp.state;
             }
             None => {
-                start_step = 0;
+                (start_step, start_time) = (0, 0.0);
                 state = u0.clone();
             }
         }
         events.push(RecoveryEvent::RolledBack { to_step: start_step as u64, cause });
-        courant *= resilience.degradation.courant_factor;
+        rk.courant *= resilience.degradation.courant_factor;
         if resilience.degradation.ko_boost != 0.0 {
             params.ko_sigma += resilience.degradation.ko_boost;
-            rhs = OctantRhs::new(mesh, params, config.rhs_kind);
+            rhs = Arc::new(OctantRhs::new(mesh, params, config.rhs_kind));
         }
     }
 }
@@ -833,10 +807,12 @@ mod tests {
         // halo fill after the ghosts arrive.
         let mesh = adaptive_mesh();
         assert_eq!(mesh.n_octants(), 71);
+        let identity: Vec<u32> = (0..mesh.n_octants() as u32).collect();
         for (ranks, expected) in [(2, 9), (3, 14)] {
             let owned = partition_uniform(mesh.n_octants(), ranks).range(0);
-            let (_, ghost) = split_sources(&ProlongedHalo::new(&mesh, 1, owned.clone()), &owned);
-            assert_eq!(ghost.len(), expected, "rank 0's ghost Prolong sources at {ranks} ranks");
+            let halo = gw_mesh::ProlongedHalo::new(&mesh, 1, owned.clone(), &identity);
+            let ghost = halo.sources().iter().filter(|&&s| !owned.contains(&(s as usize))).count();
+            assert_eq!(ghost, expected, "rank 0's ghost Prolong sources at {ranks} ranks");
         }
         let steps = 2;
         for ranks in [1usize, 2, 3] {
@@ -951,6 +927,74 @@ mod tests {
         for (a, b) in reference.state.as_slice().iter().zip(out.result.state.as_slice().iter()) {
             assert_eq!(a, b, "resume from the manifest must be bit-exact");
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn rank_backends_store_owned_and_ghost_octants_only() {
+        // Each rank's four buffers hold its owned octants, then its ghosts:
+        // no full-mesh field. The solution starts as the initial state's
+        // blocks of exactly those octants, in that order.
+        let mesh = adaptive_mesh();
+        let n = mesh.n_octants();
+        let u0 = fill_field(&mesh, &wave());
+        let rhs = Arc::new(OctantRhs::new(&mesh, BssnParams::default(), RhsKind::Pointwise));
+        for ranks in [2usize, 3] {
+            let part = partition_uniform(n, ranks);
+            let plan = GhostSchedule::build(&part, dependencies(&mesh).into_iter());
+            let world = WorldConfig::default();
+            let (stored, _) = World::run(ranks, world.clone(), |ctx| {
+                let rank = RankBackend::new(ctx, &mesh, rhs.clone(), &plan, &part, &world, &u0);
+                let u = rank.cpu.buf(Buf::U);
+                let loaded =
+                    rank.slot_of.iter().enumerate().filter(|&(_, &s)| s != u32::MAX).all(
+                        |(e, &s)| (0..NUM_VARS).all(|v| u.block(v, s as usize) == u0.block(v, e)),
+                    );
+                let sizes = [Buf::U, Buf::Stage, Buf::K, Buf::Acc].map(|b| rank.cpu.buf(b).n_oct);
+                (sizes, loaded)
+            });
+            for (r, (sizes, loaded)) in stored.into_iter().enumerate() {
+                let (owned, ghosts) = (part.range(r), plan.ghosts_of(r));
+                assert!(
+                    !ghosts.is_empty() && ghosts.iter().all(|&g| !owned.contains(&(g as usize)))
+                );
+                let expected = owned.len() + ghosts.len();
+                assert!(expected < n, "rank {r} of {ranks} stores {expected} of {n} octants");
+                assert_eq!(sizes, [expected; 4], "rank {r} of {ranks}: owned + ghost octants");
+                assert!(loaded, "rank {r} of {ranks} holds the initial state's blocks");
+            }
+        }
+    }
+
+    #[test]
+    fn degraded_replay_records_the_time_it_simulated() {
+        // The default policy halves the Courant factor on a rollback, so
+        // a rank killed at step 2 of 3 replays the last step at dt₀/2:
+        // the run ends at 2.5·dt₀, in its last manifest and its outcome.
+        let dir = std::env::temp_dir().join("gw_amr_multi_degraded_time_test");
+        let dir = dir.to_str().unwrap().to_string();
+        let _ = std::fs::remove_dir_all(&dir);
+        let degradation = crate::supervisor::DegradationPolicy::default();
+        assert_eq!(degradation.courant_factor, 0.5);
+        let resilience = ResilienceConfig {
+            checkpoint_dir: Some(dir.clone()),
+            checkpoint_every: 1,
+            degradation,
+            kill_once: Some(KillSpec { rank: 1, at_step: 2 }),
+        };
+        let cfg = WorldConfig {
+            heartbeat_interval: std::time::Duration::from_millis(5),
+            ..WorldConfig::default()
+        };
+        let out = dist(3, 3).world(cfg).resilience(resilience).execute().unwrap();
+        assert_eq!(out.retries, 1, "one rollback");
+        let dt0 = Rk4 { courant: SolverConfig::default().courant }.timestep(&adaptive_mesh());
+        let expected = 2.5 * dt0;
+        let snap = checkpoint::latest_snapshot(&dir).unwrap().expect("a committed snapshot");
+        let manifest = checkpoint::load_distributed(&snap).unwrap().manifest;
+        assert_eq!(manifest.steps_taken, 3);
+        assert!((manifest.time - expected).abs() < 1e-12 * dt0, "manifest time {}", manifest.time);
+        assert!((out.time - expected).abs() < 1e-12 * dt0, "outcome time {}", out.time);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -19,9 +19,13 @@
 //! ```
 //!
 //! Adding `.distributed(ranks)` switches to the multi-rank resilient
-//! driver (coordinated snapshots, rollback/replay). Its ranks run the
+//! driver (coordinated snapshots, rollback/replay). Each rank is a
+//! backend over its own octants and their ghosts, advanced by the same
+//! [`Rk4::step`](crate::rk4::Rk4::step) as a plain run, and runs the
 //! whole [`SolverConfig`], including `rhs_kind`; `use_gpu` is not
 //! supported there yet and is rejected as [`ConfigError::DistributedGpu`].
+//! A distributed outcome's `time` is the time the run simulated, degraded
+//! replays included.
 //!
 //! Profiling (`.profile(path)`) enables a [`Probe`], threads it through
 //! the solver/backend/device (or the comm world in distributed mode),
@@ -308,11 +312,10 @@ impl<'a> Run<'a> {
             .inspect_err(|_| {
                 self.try_write_trace(&probe, &[]);
             })?;
-        let h_min = mesh.octants.iter().map(|o| o.h).fold(f64::INFINITY, f64::min);
         let trace_path = self.write_trace(&probe, &[])?;
         Ok(RunOutcome {
             state: out.result.state.clone(),
-            time: self.steps as f64 * self.config.courant * h_min,
+            time: out.result.time,
             steps_completed: self.steps as u64,
             retries: out.retries,
             solver: None,
@@ -514,6 +517,12 @@ mod tests {
             let text = std::fs::read_to_string(&path).unwrap();
             let stats = gw_obs::json::validate_trace(&text).expect("builder trace is schema-valid");
             assert!(stats.overlap_ratio() > 0.0, "overlapped run must meter hidden halo time");
+            // Ranks step through the shared RK4, whose AXPYs and sync
+            // carry the `axpy` and `p2o` phases.
+            let phases = probe.report().expect("enabled probe").phase_totals();
+            for ph in ["o2p", "rhs", "axpy", "p2o", "halo", "halo_overlap"] {
+                assert!(phases.contains_key(ph), "no {ph} span in {:?}", phases.keys());
+            }
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

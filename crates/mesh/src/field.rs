@@ -2,10 +2,31 @@
 
 use gw_par::{ThreadPool, UnsafeSlice};
 use gw_stencil::patch::{BLOCK_VOLUME, PATCH_VOLUME};
+use std::ops::Range;
 
 /// Chunk length for the element-wise parallel kernels (AXPY, copy): big
 /// enough to amortize task dispatch, small enough to load-balance.
 const AXPY_CHUNK: usize = 4096;
+
+/// Run `f` on `pool` over the storage ranges of the first `octants`
+/// blocks of each of `dof` variables of an `n_oct`-octant field, cut
+/// into [`AXPY_CHUNK`] pieces that never span two variables.
+fn for_each_prefix_chunk(
+    dof: usize,
+    n_oct: usize,
+    octants: usize,
+    pool: &ThreadPool,
+    f: impl Fn(Range<usize>) + Sync,
+) {
+    assert!(octants <= n_oct, "{octants} of {n_oct} octants");
+    let len = octants * BLOCK_VOLUME;
+    let per_var = len.div_ceil(AXPY_CHUNK);
+    pool.for_each(dof * per_var, |ci| {
+        let (var, c) = (ci / per_var, ci % per_var);
+        let s = var * n_oct * BLOCK_VOLUME + c * AXPY_CHUNK;
+        f(s..s + AXPY_CHUNK.min(len - c * AXPY_CHUNK));
+    });
+}
 
 /// A multi-dof field over the octants of a mesh: `dof × n_oct` blocks of
 /// `r^3 = 343` points, laid out variable-major (`[var][octant][point]`) so
@@ -71,52 +92,52 @@ impl Field {
         }
     }
 
-    /// Chunk-parallel [`Field::axpy`]. Each output element depends only
-    /// on its own input pair, so any chunking is bit-identical to serial.
-    pub fn axpy_par(&mut self, a: f64, other: &Field, pool: &ThreadPool) {
-        assert_eq!(self.data.len(), other.data.len());
-        let n = self.data.len();
+    /// Chunk-parallel [`Field::axpy`] over the first `octants` blocks of
+    /// every variable (all of them: `self.n_oct`). Each output element
+    /// depends only on its own input pair, so any chunking is
+    /// bit-identical to serial.
+    pub fn axpy_par(&mut self, a: f64, other: &Field, octants: usize, pool: &ThreadPool) {
+        assert_eq!((self.dof, self.n_oct), (other.dof, other.n_oct));
         let out = UnsafeSlice::new(&mut self.data);
-        pool.for_each(n.div_ceil(AXPY_CHUNK), |ci| {
-            let s = ci * AXPY_CHUNK;
-            let e = (s + AXPY_CHUNK).min(n);
+        for_each_prefix_chunk(self.dof, self.n_oct, octants, pool, |r| {
             // Safety: chunks are disjoint.
-            let dst = unsafe { out.slice_mut(s, e - s) };
-            for (x, y) in dst.iter_mut().zip(other.data[s..e].iter()) {
+            let dst = unsafe { out.slice_mut(r.start, r.len()) };
+            for (x, y) in dst.iter_mut().zip(&other.data[r]) {
                 *x += a * y;
             }
         });
     }
 
-    /// Chunk-parallel [`Field::assign_axpy`].
-    pub fn assign_axpy_par(&mut self, base: &Field, a: f64, slope: &Field, pool: &ThreadPool) {
-        assert_eq!(self.data.len(), base.data.len());
-        assert_eq!(self.data.len(), slope.data.len());
-        let n = self.data.len();
+    /// Chunk-parallel [`Field::assign_axpy`] over the first `octants`
+    /// blocks of every variable.
+    pub fn assign_axpy_par(
+        &mut self,
+        base: &Field,
+        a: f64,
+        slope: &Field,
+        octants: usize,
+        pool: &ThreadPool,
+    ) {
+        assert_eq!((self.dof, self.n_oct), (base.dof, base.n_oct));
+        assert_eq!((self.dof, self.n_oct), (slope.dof, slope.n_oct));
         let out = UnsafeSlice::new(&mut self.data);
-        pool.for_each(n.div_ceil(AXPY_CHUNK), |ci| {
-            let s = ci * AXPY_CHUNK;
-            let e = (s + AXPY_CHUNK).min(n);
+        for_each_prefix_chunk(self.dof, self.n_oct, octants, pool, |r| {
             // Safety: chunks are disjoint.
-            let dst = unsafe { out.slice_mut(s, e - s) };
-            for ((x, b), sl) in
-                dst.iter_mut().zip(base.data[s..e].iter()).zip(slope.data[s..e].iter())
-            {
+            let dst = unsafe { out.slice_mut(r.start, r.len()) };
+            for ((x, b), sl) in dst.iter_mut().zip(&base.data[r.clone()]).zip(&slope.data[r]) {
                 *x = b + a * sl;
             }
         });
     }
 
-    /// Chunk-parallel copy of `other`'s contents into `self`.
-    pub fn copy_from_par(&mut self, other: &Field, pool: &ThreadPool) {
-        assert_eq!(self.data.len(), other.data.len());
-        let n = self.data.len();
+    /// Chunk-parallel copy of `other`'s first `octants` blocks of every
+    /// variable into `self`.
+    pub fn copy_from_par(&mut self, other: &Field, octants: usize, pool: &ThreadPool) {
+        assert_eq!((self.dof, self.n_oct), (other.dof, other.n_oct));
         let out = UnsafeSlice::new(&mut self.data);
-        pool.for_each(n.div_ceil(AXPY_CHUNK), |ci| {
-            let s = ci * AXPY_CHUNK;
-            let e = (s + AXPY_CHUNK).min(n);
+        for_each_prefix_chunk(self.dof, self.n_oct, octants, pool, |r| {
             // Safety: chunks are disjoint.
-            unsafe { out.slice_mut(s, e - s) }.copy_from_slice(&other.data[s..e]);
+            unsafe { out.slice_mut(r.start, r.len()) }.copy_from_slice(&other.data[r]);
         });
     }
 
@@ -238,14 +259,32 @@ mod tests {
         for threads in [1usize, 2, 7] {
             let pool = ThreadPool::new(threads);
             let mut x = x0.clone();
-            x.axpy_par(0.3, &y, &pool);
+            x.axpy_par(0.3, &y, n_oct, &pool);
             assert_eq!(x, x_ref);
             let mut z = Field::zeros(dof, n_oct);
-            z.assign_axpy_par(&b, -1.7, &s, &pool);
+            z.assign_axpy_par(&b, -1.7, &s, n_oct, &pool);
             assert_eq!(z, z_ref);
             let mut c = Field::zeros(dof, n_oct);
-            c.copy_from_par(&y, &pool);
+            c.copy_from_par(&y, n_oct, &pool);
             assert_eq!(c, y);
+            // Over a prefix: the first `k` blocks of every variable take
+            // the serial result, the rest keep their values.
+            let k = 2;
+            let mut x = x0.clone();
+            x.axpy_par(0.3, &y, k, &pool);
+            let mut z = x0.clone();
+            z.assign_axpy_par(&b, -1.7, &s, k, &pool);
+            let mut c = x0.clone();
+            c.copy_from_par(&y, k, &pool);
+            for var in 0..dof {
+                for oct in 0..n_oct {
+                    let want =
+                        |done: &Field| if oct < k { done } else { &x0 }.block(var, oct).to_vec();
+                    assert_eq!(x.block(var, oct), want(&x_ref), "axpy ({var}, {oct})");
+                    assert_eq!(z.block(var, oct), want(&z_ref), "assign_axpy ({var}, {oct})");
+                    assert_eq!(c.block(var, oct), want(&y), "copy ({var}, {oct})");
+                }
+            }
         }
     }
 

@@ -18,6 +18,11 @@
 //! ([`Prolongation::prolong_box_into`]), and the mesh's write partition
 //! gives every padding point exactly one incoming op, so the gather's op
 //! order does not matter.
+//!
+//! Fields may be stored compactly: a rank keeps only its owned and ghost
+//! octants, in a storage order of its own. The halo is told which octant
+//! each storage slot holds when it is built, and resolves every read into
+//! that layout once, so neither `fill` nor `gather` looks anything up.
 
 use crate::field::Field;
 use crate::grid::{Mesh, ScatterKind};
@@ -28,7 +33,8 @@ use gw_stencil::patch::{BLOCK_VOLUME, PATCH_VOLUME, POINTS_PER_SIDE};
 use std::cell::RefCell;
 use std::ops::Range;
 
-/// `slot_of` marker for an octant that is not a source of the halo.
+/// `slot_of` marker for an octant that is not a source of the halo (or,
+/// in a storage map, not stored).
 const NO_SLOT: u32 = u32::MAX;
 
 /// The prolonged boxes of a set of coarse source octants, for all `dof`
@@ -37,12 +43,14 @@ const NO_SLOT: u32 = u32::MAX;
 /// the box. Also holds the gather plan of every destination.
 pub struct ProlongedHalo {
     dof: usize,
-    n_oct: usize,
+    /// Octants per variable of the fields it reads.
+    n_stored: usize,
     prolong: Prolongation,
     /// Per octant id: its slot in `sources`, or [`NO_SLOT`].
     slot_of: Vec<u32>,
-    /// The source octants, ascending.
+    /// The source octants, ascending, and the storage slot of each.
     sources: Vec<u32>,
+    stored_at: Vec<u32>,
     /// Per slot: the prolonged box and its start within one variable.
     boxes: Vec<FineBox>,
     offsets: Vec<usize>,
@@ -52,13 +60,15 @@ pub struct ProlongedHalo {
     plan: GatherPlan,
 }
 
-/// The gather of every destination octant, resolved once: the
-/// [`RowWalk`]s of its incoming ops, against the field's per-variable
-/// storage (`Same`/`Inject`) or the halo's (`Prolong`), then those of
-/// its physical-boundary regions. Every index is variable-independent,
-/// so one plan serves all `dof` variables.
+/// The gather of every destination octant, resolved once: the storage
+/// slot of its own block, the [`RowWalk`]s of its incoming ops, against
+/// the field's per-variable storage (`Same`/`Inject`) or the halo's
+/// (`Prolong`), then those of its physical-boundary regions. Every index
+/// is variable-independent, so one plan serves all `dof` variables.
 struct GatherPlan {
     dsts: Range<usize>,
+    /// Destination `dsts.start + d` is stored in slot `own[d]`.
+    own: Vec<u32>,
     walks: Vec<RowWalk>,
     /// Destination `dsts.start + d` reads the field through
     /// `walks[starts[3d]..starts[3d + 1]]`, the halo through the next
@@ -71,6 +81,7 @@ impl GatherPlan {
     fn new(
         mesh: &Mesh,
         dsts: Range<usize>,
+        storage: &[u32],
         slot_of: &[u32],
         boxes: &[FineBox],
         offsets: &[usize],
@@ -85,11 +96,18 @@ impl GatherPlan {
         let mut starts = Vec::with_capacity(3 * dsts.len() + 1);
         starts.push(0u32);
         let mut close = |walks: &Vec<RowWalk>| starts.push(walks.len() as u32);
+        let stored = |e: usize| {
+            let s = storage[e];
+            assert_ne!(s, NO_SLOT, "octant {e}, read by a destination of the halo, is not stored");
+            s as usize
+        };
+        let own = dsts.clone().map(|e| stored(e) as u32).collect();
         for e in dsts.clone() {
             let ops = mesh.gather_of(e);
             for op in ops.iter().filter(|op| op.kind != ScatterKind::Prolong) {
                 let w = RowWalk::scatter(op, [0; 3], [R, R]);
-                walks.extend((w.points() > 0).then(|| shift(w, op.src as usize * BLOCK_VOLUME)));
+                let at = stored(op.src as usize) * BLOCK_VOLUME;
+                walks.extend((w.points() > 0).then(|| shift(w, at)));
             }
             close(&walks);
             for op in ops.iter().filter(|op| op.kind == ScatterKind::Prolong) {
@@ -102,26 +120,36 @@ impl GatherPlan {
             walks.extend(mesh.boundary_of(e).iter().map(|&(_, delta)| RowWalk::boundary(delta)));
             close(&walks);
         }
-        Self { dsts, walks, starts }
+        Self { dsts, own, walks, starts }
     }
 
-    /// Destination `e`'s walks over the field, over the halo and within
-    /// its patch.
-    fn of(&self, e: usize) -> [&[RowWalk]; 3] {
+    /// Destination `e`'s storage slot, and its walks over the field, over
+    /// the halo and within its patch.
+    fn of(&self, e: usize) -> (usize, [&[RowWalk]; 3]) {
         assert!(self.dsts.contains(&e), "octant {e} is not a destination of this halo");
-        let d = 3 * (e - self.dsts.start);
-        [0, 1, 2].map(|g| &self.walks[self.starts[d + g] as usize..self.starts[d + g + 1] as usize])
+        let d = e - self.dsts.start;
+        let walks = [0, 1, 2].map(|g| {
+            &self.walks[self.starts[3 * d + g] as usize..self.starts[3 * d + g + 1] as usize]
+        });
+        (self.own[d] as usize, walks)
     }
 }
 
 impl ProlongedHalo {
     /// The halo feeding every `Prolong` op whose destination lies in
     /// `dsts`: one [`prolong_union`] box per source of such an op, and
-    /// the gather plan of every destination in `dsts`. The whole mesh
-    /// (`0..n`) for a single-rank backend; a rank's owned range, whose
-    /// sources include ghosts, for a distributed one.
-    pub fn new(mesh: &Mesh, dof: usize, dsts: Range<usize>) -> Self {
+    /// the gather plan of every destination in `dsts`, reading fields
+    /// whose storage slot `i` holds octant `stored[i]`. The whole mesh
+    /// (`0..n`) in the identity layout for a single-rank backend; for a
+    /// distributed one, a rank's owned range, whose sources include
+    /// ghosts, in its layout of owned then ghost octants. Panics when a
+    /// destination or an octant it reads is not stored.
+    pub fn new(mesh: &Mesh, dof: usize, dsts: Range<usize>, stored: &[u32]) -> Self {
         let n = mesh.n_octants();
+        let mut storage = vec![NO_SLOT; n];
+        for (i, &e) in stored.iter().enumerate() {
+            storage[e as usize] = i as u32;
+        }
         let mut is_source = vec![false; n];
         for b in dsts.clone() {
             for op in mesh.gather_of(b).iter().filter(|op| op.kind == ScatterKind::Prolong) {
@@ -140,13 +168,16 @@ impl ProlongedHalo {
             offsets.push(var_len);
             var_len += b.volume();
         }
-        let plan = GatherPlan::new(mesh, dsts, &slot_of, &boxes, &offsets);
+        let plan = GatherPlan::new(mesh, dsts, &storage, &slot_of, &boxes, &offsets);
+        let stored_at = sources.iter().map(|&e| storage[e as usize]).collect::<Vec<_>>();
+        assert!(!stored_at.contains(&NO_SLOT), "every prolongation source must be stored");
         Self {
             dof,
-            n_oct: n,
+            n_stored: stored.len(),
             prolong: Prolongation::new(),
             slot_of,
             sources,
+            stored_at,
             boxes,
             offsets,
             var_len,
@@ -170,7 +201,8 @@ impl ProlongedHalo {
             static WS: RefCell<Option<ProlongWorkspace>> = const { RefCell::new(None) };
         }
         assert!(sources.windows(2).all(|w| w[0] < w[1]), "halo sources must be ascending");
-        let Self { dof, prolong, slot_of, boxes, offsets, var_len, data, .. } = self;
+        assert_eq!((field.dof, field.n_oct), (self.dof, self.n_stored), "field of another layout");
+        let Self { dof, prolong, slot_of, stored_at, boxes, offsets, var_len, data, .. } = self;
         let out = UnsafeSlice::new(data);
         let flops = pool.map(sources.len(), |i| {
             let e = sources[i] as usize;
@@ -186,7 +218,8 @@ impl ProlongedHalo {
                         // Safety: sources are distinct, so slot `s` of
                         // every variable belongs to this task alone.
                         let dst = unsafe { out.slice_mut(var * *var_len + off, v) };
-                        prolong.prolong_box_into(field.block(var, e), dst, ws, b)
+                        let block = field.block(var, stored_at[s as usize] as usize);
+                        prolong.prolong_box_into(block, dst, ws, b)
                     })
                     .sum::<u64>()
             })
@@ -200,17 +233,18 @@ impl ProlongedHalo {
     /// `Same`/`Inject` ops over the source blocks, those of its `Prolong`
     /// ops over the halo — which [`ProlongedHalo::fill`] must have filled
     /// from `field` — then the physical-boundary padding, which copies
-    /// interior points. `e` must lie in the halo's destination range.
-    /// Reads only, so any number of threads may gather concurrently.
+    /// interior points. `e` (a global octant id) must lie in the halo's
+    /// destination range. Reads only, so any number of threads may gather
+    /// concurrently.
     pub fn gather(&self, field: &Field, e: usize, staging: &mut [f64]) {
         assert_eq!(staging.len(), self.dof * PATCH_VOLUME);
-        assert_eq!((field.dof, field.n_oct), (self.dof, self.n_oct), "field of another mesh");
-        let [from_field, from_halo, within] = self.plan.of(e);
-        let field_len = self.n_oct * BLOCK_VOLUME;
+        assert_eq!((field.dof, field.n_oct), (self.dof, self.n_stored), "field of another layout");
+        let (own, [from_field, from_halo, within]) = self.plan.of(e);
+        let field_len = self.n_stored * BLOCK_VOLUME;
         for (var, patch) in staging.chunks_exact_mut(PATCH_VOLUME).enumerate() {
             let values = &field.as_slice()[var * field_len..][..field_len];
             let boxes = &self.data[var * self.var_len..][..self.var_len];
-            gw_stencil::patch::octant_to_patch_interior(field.block(var, e), patch);
+            gw_stencil::patch::octant_to_patch_interior(field.block(var, own), patch);
             for w in from_field {
                 w.copy(values, patch);
             }
@@ -253,6 +287,35 @@ mod tests {
         f
     }
 
+    /// The identity layout: slot `e` holds octant `e`.
+    fn identity(mesh: &Mesh) -> Vec<u32> {
+        (0..mesh.n_octants() as u32).collect()
+    }
+
+    /// A rank-local layout: the `owned` octants, then every other octant
+    /// they read, ascending.
+    fn rank_layout(mesh: &Mesh, owned: Range<usize>) -> Vec<u32> {
+        let mut ghosts: Vec<u32> = owned
+            .clone()
+            .flat_map(|e| mesh.gather_of(e).iter().map(|op| op.src))
+            .filter(|&s| !owned.contains(&(s as usize)))
+            .collect();
+        ghosts.sort_unstable();
+        ghosts.dedup();
+        owned.map(|e| e as u32).chain(ghosts).collect()
+    }
+
+    /// `f`'s blocks of the `stored` octants, in that order.
+    fn localize(f: &Field, stored: &[u32]) -> Field {
+        let mut out = Field::zeros(f.dof, stored.len());
+        for var in 0..f.dof {
+            for (i, &e) in stored.iter().enumerate() {
+                out.block_mut(var, i).copy_from_slice(f.block(var, e as usize));
+            }
+        }
+        out
+    }
+
     /// Union-box flops of prolonging `sources` for `dof` variables.
     fn union_flops(mesh: &Mesh, dof: usize, sources: &[u32]) -> u64 {
         let r = POINTS_PER_SIDE as u64;
@@ -267,8 +330,9 @@ mod tests {
     }
 
     /// The halo path (prolong once, gather per octant) must reproduce the
-    /// serial scatter oracle bit for bit at any thread count, with the
-    /// union-box flop count, below the oracle's full prolongations.
+    /// serial scatter oracle bit for bit at any thread count and in any
+    /// storage layout, with the union-box flop count, below the oracle's
+    /// full prolongations.
     #[test]
     fn halo_gather_matches_serial_scatter_bitwise() {
         // The adaptive test mesh and a deeper one with ≥ 3 levels.
@@ -293,12 +357,24 @@ mod tests {
             for threads in [1usize, 2, 8] {
                 let pool = ThreadPool::new(threads);
                 // The whole mesh, and a rank-like half whose halo also
-                // holds sources outside its destination range.
-                for dsts in [0..n, 0..n / 2] {
-                    let mut halo = ProlongedHalo::new(&mesh, dof, dsts.clone());
+                // holds sources outside its destination range, in the
+                // identity layout; then either half in a rank-local
+                // compact one, which stores only its own octants and
+                // those they read.
+                let (lo, hi) = (rank_layout(&mesh, 0..n / 2), rank_layout(&mesh, n / 2..n));
+                assert!(lo.len() < n && hi.len() < n, "compact layouts store fewer octants");
+                let layouts = [
+                    (0..n, identity(&mesh)),
+                    (0..n / 2, identity(&mesh)),
+                    (0..n / 2, lo),
+                    (n / 2..n, hi),
+                ];
+                for (dsts, stored) in layouts {
+                    let field = localize(&f, &stored);
+                    let mut halo = ProlongedHalo::new(&mesh, dof, dsts.clone(), &stored);
                     let sources = halo.sources().to_vec();
                     assert_eq!(
-                        halo.fill(&f, &sources, &pool),
+                        halo.fill(&field, &sources, &pool),
                         union_flops(&mesh, dof, &sources),
                         "flop count at {threads} threads"
                     );
@@ -307,7 +383,7 @@ mod tests {
                     }
                     let gathered = pool.map(dsts.len(), |i| {
                         let mut staging = vec![f64::NAN; dof * PATCH_VOLUME];
-                        halo.gather(&f, dsts.start + i, &mut staging);
+                        halo.gather(&field, dsts.start + i, &mut staging);
                         staging
                     });
                     for (e, staging) in dsts.clone().zip(&gathered) {
@@ -315,7 +391,8 @@ mod tests {
                             assert_eq!(
                                 bits(&staging[var * PATCH_VOLUME..][..PATCH_VOLUME]),
                                 bits(p_ref.patch(var, e)),
-                                "octant {e} var {var} at {threads} threads"
+                                "octant {e} var {var} at {threads} threads, {} stored",
+                                field.n_oct
                             );
                         }
                     }
@@ -343,8 +420,8 @@ mod tests {
             fill_boundary_padding(&mesh, &mut p_ref, dof);
             let owned = 0..n / 2;
             let pool = ThreadPool::new(2);
-            let mut whole = ProlongedHalo::new(&mesh, dof, owned.clone());
-            let mut split = ProlongedHalo::new(&mesh, dof, owned.clone());
+            let mut whole = ProlongedHalo::new(&mesh, dof, owned.clone(), &identity(&mesh));
+            let mut split = ProlongedHalo::new(&mesh, dof, owned.clone(), &identity(&mesh));
             let sources = whole.sources().to_vec();
             let (mine, ghosts): (Vec<u32>, Vec<u32>) =
                 sources.iter().partition(|&&s| owned.contains(&(s as usize)));

@@ -35,11 +35,9 @@ pub mod field;
 pub mod gather;
 pub mod grid;
 pub mod halo;
-pub mod o2n;
 pub mod scatter;
 
 pub use field::{Field, PatchField};
 pub use grid::{Mesh, MeshError, ScatterKind, ScatterOp};
 pub use halo::ProlongedHalo;
-pub use o2n::O2NMap;
 pub use scatter::{fill_patches_scatter, patches_to_octants, sync_interfaces, sync_interfaces_par};
